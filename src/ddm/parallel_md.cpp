@@ -46,6 +46,22 @@ int validated_rank_count(const sim::Engine& engine,
   }
   return engine.size();
 }
+
+// A resumed particle must be finite and inside the closed box [0, L] on
+// every axis: CellGrid::cell_of_position casts position / cell_edge to int,
+// undefined for NaN or inf, and clamps the upper face x = L into the last
+// cell, so [0, L] is exactly the range it bins correctly. Its velocity must
+// be finite too, or the first drift makes the position NaN.
+bool resumable(const md::Particle& particle, const Box& box) {
+  const auto axis = [](double x, double len) {
+    return std::isfinite(x) && x >= 0.0 && x <= len;
+  };
+  const Vec3& p = particle.position;
+  const Vec3& v = particle.velocity;
+  return axis(p.x, box.length.x) && axis(p.y, box.length.y) &&
+         axis(p.z, box.length.z) && std::isfinite(v.x) &&
+         std::isfinite(v.y) && std::isfinite(v.z);
+}
 }  // namespace
 
 ParallelMd::ParallelMd(const EngineConfig& setup,
@@ -139,13 +155,30 @@ void ParallelMd::init_resume(const sim::Buffer& checkpoint) {
     for (int r = 0; r < layout_.pe_count(); ++r) {
       auto rank = std::make_unique<Rank>(layout_);
       rank->owned = unpacker.get_vector<md::Particle>();
+      for (const auto& particle : rank->owned) {
+        if (!resumable(particle, box_)) {
+          throw md::CheckpointError(
+              "ParallelMd: checkpoint rank " + std::to_string(r) +
+              " particle id " + std::to_string(particle.id) +
+              " has a non-finite position or velocity, or a position "
+              "outside the box [0, L]");
+        }
+      }
       const auto owners = unpacker.get_vector<std::int32_t>();
       if (static_cast<int>(owners.size()) != layout_.num_columns()) {
         throw md::CheckpointError(
             "ParallelMd: checkpoint column table has the wrong size");
       }
       for (int col = 0; col < layout_.num_columns(); ++col) {
-        rank->map.set_owner(col, owners[static_cast<std::size_t>(col)]);
+        const std::int32_t owner = owners[static_cast<std::size_t>(col)];
+        if (owner < 0 || owner >= layout_.pe_count()) {
+          throw md::CheckpointError(
+              "ParallelMd: checkpoint rank " + std::to_string(r) +
+              " column " + std::to_string(col) + " has owner " +
+              std::to_string(owner) + " outside [0, " +
+              std::to_string(layout_.pe_count()) + ")");
+        }
+        rank->map.set_owner(col, owner);
       }
       last_busy[static_cast<std::size_t>(r)] = unpacker.get<double>();
       rank->force_seconds = unpacker.get<double>();

@@ -39,6 +39,23 @@ TEST(Wire, AnnounceNoTransfer) {
   EXPECT_EQ(out.column, -1);
 }
 
+// Absolute bytes of one sealed announce {target 5, column 42}: magic "PMDW",
+// the payload's CRC32, then the two int32 fields, all little-endian. A change
+// to the header layout or the checksum breaks this, not just the round trip.
+TEST(Wire, SealedAnnounceBytesArePinned) {
+  const sim::Buffer pinned = {
+      0x57, 0x44, 0x4d, 0x50, 0x57, 0x9e, 0x4d, 0xe2,
+      0x05, 0x00, 0x00, 0x00, 0x2a, 0x00, 0x00, 0x00,
+  };
+  AnnounceRecord record;
+  record.target = 5;
+  record.column = 42;
+  EXPECT_EQ(pack_announce(record), pinned);
+  const auto out = unpack_announce(pinned);
+  EXPECT_EQ(out.target, 5);
+  EXPECT_EQ(out.column, 42);
+}
+
 TEST(Wire, ParticlesRoundTrip) {
   md::ParticleVector particles(2);
   particles[0].id = 10;

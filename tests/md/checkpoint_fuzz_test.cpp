@@ -2,18 +2,23 @@
 // ddm/wire_property_test.cpp: exact round-trips, then systematic corruption
 // (truncation at every length, trailing bytes, every single-byte flip,
 // kind confusion, field-level lies) against the buddy envelope and the
-// serial checkpoint. The contract under test: every corruption throws
-// std::runtime_error *before* any caller state is touched — decode returns
-// a fully validated value or nothing.
+// serial checkpoint, plus re-sealed ParallelMd checkpoints whose CRC passes
+// but whose state is invalid. The contract under test: every corruption
+// throws std::runtime_error *before* any caller state is touched — decode
+// returns a fully validated value or nothing.
 #include "md/checkpoint.hpp"
 
+#include "ddm/parallel_md.hpp"
 #include "ddm/recovery.hpp"
 #include "sim/message.hpp"
 #include "util/rng.hpp"
+#include "workload/gas.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -201,6 +206,171 @@ TEST(CheckpointFuzz, SerialCheckpointEveryByteFlipThrows) {
                  std::runtime_error)
         << "byte " << byte;
   }
+}
+
+TEST(CheckpointFuzz, SealedEnvelopeBytesArePinned) {
+  // Absolute bytes of a kParallel envelope around a fixed 12-byte payload:
+  // magic "PCKP", version 1, kind 2, the payload's CRC32, then the payload.
+  // Checkpoint files written by an earlier build must keep opening.
+  const sim::Buffer payload = {'p', 'c', 'm', 'd', ' ', 'c',
+                               'k', 'p', 't', 0x00, 0x7f, 0xff};
+  const sim::Buffer pinned = {
+      0x50, 0x4b, 0x43, 0x50, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00,
+      0x00, 0x00, 0xcd, 0x7e, 0x0e, 0x0a, 0x70, 0x63, 0x6d, 0x64,
+      0x20, 0x63, 0x6b, 0x70, 0x74, 0x00, 0x7f, 0xff,
+  };
+  EXPECT_EQ(md::seal_checkpoint(md::CheckpointKind::kParallel, payload),
+            pinned);
+  EXPECT_EQ(md::open_checkpoint(md::CheckpointKind::kParallel, pinned),
+            payload);
+}
+
+// ParallelMd::checkpoint()'s payload, field by field, so a test can lie
+// about one field and re-seal: the envelope CRC then passes and only the
+// engine's own validation stands between the lie and the resumed run.
+struct ParallelRankState {
+  md::ParticleVector owned;
+  std::vector<std::int32_t> owners;
+  double last_busy = 0.0;
+  double force_seconds = 0.0;
+};
+
+struct ParallelState {
+  std::int32_t pe_side = 0;
+  std::int32_t m = 0;
+  std::int64_t step = 0;
+  Box box;
+  std::vector<ParallelRankState> ranks;
+};
+
+ParallelState open_parallel(const sim::Buffer& sealed) {
+  sim::Unpacker unpacker(
+      md::open_checkpoint(md::CheckpointKind::kParallel, sealed));
+  ParallelState state;
+  state.pe_side = unpacker.get<std::int32_t>();
+  state.m = unpacker.get<std::int32_t>();
+  state.step = unpacker.get<std::int64_t>();
+  state.box = unpacker.get<Box>();
+  state.ranks.resize(static_cast<std::size_t>(state.pe_side * state.pe_side));
+  for (auto& rank : state.ranks) {
+    rank.owned = unpacker.get_vector<md::Particle>();
+    rank.owners = unpacker.get_vector<std::int32_t>();
+    rank.last_busy = unpacker.get<double>();
+    rank.force_seconds = unpacker.get<double>();
+  }
+  EXPECT_TRUE(unpacker.exhausted());
+  return state;
+}
+
+sim::Buffer seal_parallel(const ParallelState& state) {
+  sim::Packer packer;
+  packer.put(state.pe_side);
+  packer.put(state.m);
+  packer.put(state.step);
+  packer.put(state.box);
+  for (const auto& rank : state.ranks) {
+    packer.put_vector(rank.owned);
+    packer.put_vector(rank.owners);
+    packer.put(rank.last_busy);
+    packer.put(rank.force_seconds);
+  }
+  return md::seal_checkpoint(md::CheckpointKind::kParallel, packer.take());
+}
+
+ddm::ParallelMdConfig resume_config() {
+  ddm::ParallelMdConfig config;
+  config.pe_side = 3;
+  config.m = 2;
+  config.cutoff = 2.5;
+  config.dt = 0.004;
+  return config;
+}
+
+ParallelState parallel_state_after_one_step() {
+  Rng rng(79);
+  workload::GasConfig gas;
+  gas.temperature = 0.722;
+  const Box box = Box::cubic(15.0);
+  sim::SeqEngine engine(9);
+  ddm::ParallelMd pmd(engine, box, workload::random_gas(200, box, gas, rng),
+                      resume_config());
+  pmd.step();
+  const ParallelState state = open_parallel(pmd.checkpoint());
+  // The re-sealed, unmodified state must resume: the helpers are faithful.
+  sim::SeqEngine fresh(9);
+  ddm::ParallelMd resumed(fresh, seal_parallel(state), resume_config());
+  resumed.step();
+  return state;
+}
+
+// Resuming `state` must throw md::CheckpointError whose message contains
+// every string in `names`.
+void expect_resume_rejected(const ParallelState& state,
+                            const std::vector<std::string>& names) {
+  sim::SeqEngine engine(9);
+  try {
+    ddm::ParallelMd pmd(engine, seal_parallel(state), resume_config());
+    ADD_FAILURE() << "CRC-valid but invalid checkpoint resumed";
+  } catch (const md::CheckpointError& e) {
+    for (const auto& name : names) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << "'" << e.what() << "' does not name '" << name << "'";
+    }
+  }
+}
+
+TEST(CheckpointFuzz, ParallelResumeRejectsColumnOwnerOutOfRange) {
+  const ParallelState good = parallel_state_after_one_step();
+  for (const std::int32_t owner : {-1, 9, 1000}) {
+    ParallelState bad = good;
+    bad.ranks[4].owners[7] = owner;
+    expect_resume_rejected(bad, {"rank 4", "column 7",
+                                 "owner " + std::to_string(owner)});
+  }
+}
+
+TEST(CheckpointFuzz, ParallelResumeRejectsNonFiniteOrOutOfBoxParticles) {
+  const ParallelState good = parallel_state_after_one_step();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double edge = good.box.length.x;
+  const auto mutate = [&](auto&& edit) {
+    ParallelState bad = good;
+    md::Particle& particle = bad.ranks[2].owned.front();
+    edit(particle);
+    expect_resume_rejected(bad, {"rank 2", "particle id " +
+                                               std::to_string(particle.id)});
+  };
+  mutate([&](md::Particle& p) { p.position.y = nan; });
+  mutate([&](md::Particle& p) { p.position.z = inf; });
+  mutate([&](md::Particle& p) { p.position.x = -inf; });
+  mutate([&](md::Particle& p) { p.position.x = -1e-12; });
+  mutate([&](md::Particle& p) {
+    p.position.x = std::nextafter(edge, 2.0 * edge);
+  });
+  mutate([&](md::Particle& p) { p.velocity.x = nan; });
+  mutate([&](md::Particle& p) { p.velocity.z = -inf; });
+}
+
+TEST(CheckpointFuzz, ParallelResumeAcceptsParticlesOnTheUpperBoxFace) {
+  // The box is closed: x = L clamps into the last cell, so a particle
+  // resting exactly on the upper face is valid state, not corruption.
+  ParallelState state = parallel_state_after_one_step();
+  const double edge = state.box.length.x;
+  const double cell = edge / 6.0;  // K = pe_side * m = 6 cells per axis
+  bool moved = false;
+  for (auto& rank : state.ranks) {
+    for (auto& particle : rank.owned) {
+      if (!moved && particle.position.x >= edge - cell) {
+        particle.position.x = edge;
+        moved = true;
+      }
+    }
+  }
+  ASSERT_TRUE(moved);
+  sim::SeqEngine engine(9);
+  ddm::ParallelMd pmd(engine, seal_parallel(state), resume_config());
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(pmd.step().total_particles, 200);
 }
 
 TEST(CheckpointFuzz, DecodeFailureLeavesCallerStateUntouched) {

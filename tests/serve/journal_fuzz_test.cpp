@@ -129,6 +129,42 @@ TEST(JournalFuzz, EveryEventKindRoundTripsExactly) {
   EXPECT_TRUE(decode_journal({}, nullptr).empty());
 }
 
+TEST(JournalFuzz, SubmittedRecordBytesArePinned) {
+  // Absolute bytes of one kSubmitted record: "PJ", version 1, kind 1,
+  // payload length 141, payload CRC32, header CRC32, then the payload (key,
+  // admission, priority, spec, and every other field at its default).
+  // Journals written by an earlier build must keep replaying.
+  const sim::Buffer pinned = {
+      0x50, 0x4a, 0x01, 0x01, 0x8d, 0x00, 0x00, 0x00, 0x9f, 0x30, 0xb4, 0xf9,
+      0x18, 0x07, 0x4e, 0xc6, 0x13, 0x00, 0x00, 0x00, 0x30, 0x30, 0x64, 0x65,
+      0x61, 0x64, 0x62, 0x65, 0x65, 0x66, 0x30, 0x30, 0x63, 0x61, 0x66, 0x65,
+      0x3a, 0x34, 0x32, 0x00, 0x02, 0x20, 0x00, 0x00, 0x00, 0x2d, 0x2d, 0x70,
+      0x65, 0x20, 0x39, 0x20, 0x2d, 0x2d, 0x6d, 0x20, 0x32, 0x20, 0x2d, 0x2d,
+      0x73, 0x74, 0x65, 0x70, 0x73, 0x20, 0x38, 0x20, 0x2d, 0x2d, 0x73, 0x65,
+      0x65, 0x64, 0x20, 0x34, 0x32, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00,
+  };
+  JournalEvent submitted;
+  submitted.kind = JournalEventKind::kSubmitted;
+  submitted.key = "00deadbeef00cafe:42";
+  submitted.admission = 0;
+  submitted.priority = 2;
+  submitted.spec = "--pe 9 --m 2 --steps 8 --seed 42";
+  EXPECT_EQ(encode_journal_event(submitted), pinned);
+
+  std::size_t torn = 1;
+  const auto decoded = decode_journal(pinned, &torn);
+  EXPECT_EQ(torn, 0u);
+  ASSERT_EQ(decoded.size(), 1u);
+  expect_equal(decoded[0], submitted);
+}
+
 TEST(JournalFuzz, TruncationAtEveryByteIsATornTailNeverAnError) {
   const auto events = full_battery();
   const auto sealed = encode_journal(events);
@@ -144,7 +180,10 @@ TEST(JournalFuzz, TruncationAtEveryByteIsATornTailNeverAnError) {
     const sim::Buffer cut(sealed.begin(),
                           sealed.begin() + static_cast<std::ptrdiff_t>(len));
     std::size_t complete = 0;
-    while (boundaries[complete + 1] <= len) ++complete;
+    while (complete + 1 < boundaries.size() &&
+           boundaries[complete + 1] <= len) {
+      ++complete;
+    }
     std::size_t torn = 0;
     std::vector<JournalEvent> decoded;
     ASSERT_NO_THROW(decoded = decode_journal(cut, &torn)) << "length " << len;
