@@ -6,18 +6,16 @@
 // (and the run::RunSpec layer built on top of the engines) read
 // declaratively and new context can be added without widening every
 // constructor. The positional constructors remain as thin forwarding shims.
+// Both engines also charge their compute through advance_compute below.
 #pragma once
 
 #include "md/particle.hpp"
+#include "sim/comm.hpp"
 #include "sim/message.hpp"
 #include "util/pbc.hpp"
 
 #include <stdexcept>
 #include <string>
-
-namespace pcmd::sim {
-class Engine;
-}
 
 namespace pcmd::ddm {
 
@@ -48,6 +46,19 @@ inline sim::Engine& validated_engine(const EngineConfig& setup,
         ": EngineConfig needs exactly one of initial and checkpoint");
   }
   return *setup.engine;
+}
+
+// Charges `seconds` of compute to the calling rank's clock and to `busy`,
+// and returns the virtual time that actually passed. The engines charge
+// this measured interval, not the requested cost: an injected stall
+// (sim/fault.hpp) stretches it, and the stretch must reach the rank's busy
+// time for load balancing to see, and shed, the slow rank.
+inline double advance_compute(sim::Comm& comm, double seconds, double& busy) {
+  const double before = comm.clock();
+  comm.advance(seconds);
+  const double elapsed = comm.clock() - before;
+  busy += elapsed;
+  return elapsed;
 }
 
 }  // namespace pcmd::ddm

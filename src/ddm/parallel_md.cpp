@@ -46,22 +46,6 @@ int validated_rank_count(const sim::Engine& engine,
   }
   return engine.size();
 }
-
-// A resumed particle must be finite and inside the closed box [0, L] on
-// every axis: CellGrid::cell_of_position casts position / cell_edge to int,
-// undefined for NaN or inf, and clamps the upper face x = L into the last
-// cell, so [0, L] is exactly the range it bins correctly. Its velocity must
-// be finite too, or the first drift makes the position NaN.
-bool resumable(const md::Particle& particle, const Box& box) {
-  const auto axis = [](double x, double len) {
-    return std::isfinite(x) && x >= 0.0 && x <= len;
-  };
-  const Vec3& p = particle.position;
-  const Vec3& v = particle.velocity;
-  return axis(p.x, box.length.x) && axis(p.y, box.length.y) &&
-         axis(p.z, box.length.z) && std::isfinite(v.x) &&
-         std::isfinite(v.y) && std::isfinite(v.z);
-}
 }  // namespace
 
 ParallelMd::ParallelMd(const EngineConfig& setup,
@@ -155,15 +139,8 @@ void ParallelMd::init_resume(const sim::Buffer& checkpoint) {
     for (int r = 0; r < layout_.pe_count(); ++r) {
       auto rank = std::make_unique<Rank>(layout_);
       rank->owned = unpacker.get_vector<md::Particle>();
-      for (const auto& particle : rank->owned) {
-        if (!resumable(particle, box_)) {
-          throw md::CheckpointError(
-              "ParallelMd: checkpoint rank " + std::to_string(r) +
-              " particle id " + std::to_string(particle.id) +
-              " has a non-finite position or velocity, or a position "
-              "outside the box [0, L]");
-        }
-      }
+      md::check_resumable(rank->owned, box_,
+                          "ParallelMd: checkpoint rank " + std::to_string(r));
       const auto owners = unpacker.get_vector<std::int32_t>();
       if (static_cast<int>(owners.size()) != layout_.num_columns()) {
         throw md::CheckpointError(
@@ -289,7 +266,7 @@ void ParallelMd::run_init_phases() {
         engine_->model().pair_cost * result.pair_evaluations +
         engine_->model().cell_cost * targets.size();
     rank.busy_accum = 0.0;
-    rank.last_busy = advance_compute(comm, rank, cost);
+    rank.last_busy = advance_compute(comm, cost, rank.busy_accum);
     rank.owned.assign(rank.with_halo.begin(),
                       rank.with_halo.begin() + rank.owned.size());
   });
@@ -366,18 +343,6 @@ int ParallelMd::column_of_position(const Vec3& position) const {
 std::vector<int> ParallelMd::owned_columns(const Rank& rank,
                                            int rank_id) const {
   return rank.map.columns_of(rank_id);
-}
-
-double ParallelMd::advance_compute(sim::Comm& comm, Rank& rank,
-                                   double seconds) {
-  // Measure the actual clock movement, not the requested cost: an injected
-  // stall (sim/fault.hpp) stretches the interval, and the stretch must land
-  // in busy_accum for the DLB to see — and shed — the slow rank.
-  const double before = comm.clock();
-  comm.advance(seconds);
-  const double elapsed = comm.clock() - before;
-  rank.busy_accum += elapsed;
-  return elapsed;
 }
 
 void ParallelMd::send_to(sim::Comm& comm, Rank& rank, int dst, int tag,
@@ -542,8 +507,8 @@ void ParallelMd::phase_a_drift_and_digest(sim::Comm& comm, int me) {
   rank.transfers_made = 0;
 
   span_begin(comm, spans_.drift);
-  advance_compute(comm, rank,
-                  engine_->model().particle_cost * rank.owned.size());
+  advance_compute(comm, engine_->model().particle_cost * rank.owned.size(),
+                  rank.busy_accum);
   integrator_.drift(rank.owned, box_);
   span_end(comm, spans_.drift);
 
@@ -770,9 +735,10 @@ void ParallelMd::phase_e_forces(sim::Comm& comm, int me) {
   const auto result = md::accumulate_forces(
       rank.with_halo, grid_, rank.bins, targets, lj_, rank.workspace);
   rank.force_seconds = advance_compute(
-      comm, rank,
+      comm,
       engine_->model().pair_cost * result.pair_evaluations +
-          engine_->model().cell_cost * targets.size());
+          engine_->model().cell_cost * targets.size(),
+      rank.busy_accum);
 
   rank.owned.assign(rank.with_halo.begin(),
                     rank.with_halo.begin() + rank.owned.size());

@@ -246,7 +246,6 @@ class ParallelMd {
   std::vector<int> owned_columns(const Rank& rank, int rank_id) const;
   void send_halo(sim::Comm& comm, Rank& rank, int me, int tag);
   void absorb_halo(sim::Comm& comm, Rank& rank, int me, int tag);
-  double advance_compute(sim::Comm& comm, Rank& rank, double seconds);
 
   bool healing_enabled() const {
     return config_.fault_tolerance.healing.enabled;

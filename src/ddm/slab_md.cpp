@@ -43,17 +43,19 @@ SlabInfo unpack_info(sim::Buffer buffer) {
   return unpacker.get<SlabInfo>();
 }
 
-// Shift decision for one boundary between `a` (left, owns up to the
-// boundary) and `b` (right, owns from the boundary). Returns +1 when a
-// layer moves left->right... no: returns -1 when the boundary moves left
-// (right grows), +1 when it moves right (left grows), 0 for no shift. Both
-// participants call this with the same arguments, so they always agree.
-int boundary_shift(const SlabInfo& a, const SlabInfo& b, bool avoid_overshoot) {
+// Shift decision for the boundary between `a` (left, owns up to the
+// boundary) and `b` (right, owns from the boundary): -1 when `a` sheds its
+// highest layer to `b` (the boundary moves left), +1 when `b` sheds its
+// lowest layer to `a` (the boundary moves right), 0 for no shift. Only the
+// busier side sheds, only if it keeps at least one layer, and only if the
+// layer's load is below the busy-time gap converted to load, so a shift
+// never overshoots into the opposite imbalance. Both participants call
+// this with the same arguments, so they always agree.
+int boundary_shift(const SlabInfo& a, const SlabInfo& b) {
   const int a_layers = a.hi - a.lo;
   const int b_layers = b.hi - b.lo;
   auto gap_ok = [&](const SlabInfo& slow, const SlabInfo& fast,
                     double layer_load) {
-    if (!avoid_overshoot) return true;
     if (slow.busy <= 0.0 || slow.total_load <= 0.0) return false;
     const double gap_load =
         (slow.busy - fast.busy) / slow.busy * slow.total_load;
@@ -178,6 +180,8 @@ void SlabMd::init_resume(const sim::Buffer& checkpoint) {
     for (int r = 0; r < config_.pe_count; ++r) {
       auto rank = std::make_unique<Rank>();
       rank->owned = unpacker.get_vector<md::Particle>();
+      md::check_resumable(rank->owned, box_,
+                          "SlabMd: checkpoint rank " + std::to_string(r));
       rank->lo = unpacker.get<std::int32_t>();
       rank->hi = unpacker.get<std::int32_t>();
       if (rank->hi - rank->lo < 1 || rank->lo < 0 || rank->hi > grid_.nx()) {
@@ -252,8 +256,7 @@ void SlabMd::finish_construction(bool resume,
         rank.with_halo, grid_, rank.bins, targets, lj_, rank.workspace);
     const double cost = engine_->model().pair_cost * result.pair_evaluations +
                         engine_->model().cell_cost * targets.size();
-    comm.advance(cost);
-    rank.last_busy = cost;
+    rank.last_busy = advance_compute(comm, cost, rank.busy_accum);
     rank.owned.assign(rank.with_halo.begin(),
                       rank.with_halo.begin() + rank.owned.size());
   });
@@ -344,9 +347,8 @@ void SlabMd::phase_a_drift_and_times(sim::Comm& comm) {
   rank.busy_accum = 0.0;
   rank.shifts_made = 0;
   span_begin(comm, spans_.drift);
-  const double cost = engine_->model().particle_cost * rank.owned.size();
-  comm.advance(cost);
-  rank.busy_accum += cost;
+  advance_compute(comm, engine_->model().particle_cost * rank.owned.size(),
+                  rank.busy_accum);
   integrator_.drift(rank.owned, box_);
   span_end(comm, spans_.drift);
 
@@ -412,8 +414,7 @@ void SlabMd::phase_b_shift_and_migrate(sim::Comm& comm) {
     // kSlabTransfer message.
     // My left boundary has id `me`.
     if (me != 0 && (step_number + me) % 2 == 0) {
-      const int shift =
-          boundary_shift(left_info, my_info, config_.avoid_overshoot);
+      const int shift = boundary_shift(left_info, my_info);
       if (shift == -1) {
         rank.lo -= 1;  // left neighbour sheds its top layer to me
       } else if (shift == +1) {
@@ -425,8 +426,7 @@ void SlabMd::phase_b_shift_and_migrate(sim::Comm& comm) {
     }
     // My right boundary has id `me + 1` (fixed when it is the wrap).
     if (right(me) != 0 && (step_number + me + 1) % 2 == 0) {
-      const int shift =
-          boundary_shift(my_info, right_info, config_.avoid_overshoot);
+      const int shift = boundary_shift(my_info, right_info);
       if (shift == -1) {
         PCMD_HB_ACCESS(comm, "layer", rank.hi - 1, /*is_write=*/true,
                        "shift");
@@ -544,11 +544,11 @@ void SlabMd::phase_d_forces(sim::Comm& comm) {
   cells_of_layers(rank.lo, rank.hi, targets);
   const auto result = md::accumulate_forces(
       rank.with_halo, grid_, rank.bins, targets, lj_, rank.workspace);
-  const double cost = engine_->model().pair_cost * result.pair_evaluations +
-                      engine_->model().cell_cost * targets.size();
-  comm.advance(cost);
-  rank.busy_accum += cost;
-  rank.force_seconds = cost;
+  rank.force_seconds = advance_compute(
+      comm,
+      engine_->model().pair_cost * result.pair_evaluations +
+          engine_->model().cell_cost * targets.size(),
+      rank.busy_accum);
 
   rank.owned.assign(rank.with_halo.begin(),
                     rank.with_halo.begin() + rank.owned.size());

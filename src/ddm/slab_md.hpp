@@ -46,11 +46,10 @@ struct SlabMdConfig {
   double dt = 0.005;
   std::optional<double> rescale_temperature;
   int rescale_interval = 50;
-  // Dynamic boundary shifting (off = static slabs).
+  // Dynamic boundary shifting (off = static slabs). A layer moves only
+  // when the busy-time gap exceeds its own cost, so a shift never
+  // overshoots.
   bool shift_enabled = false;
-  // Shift only when the time gap exceeds the moved layer's own cost
-  // (overshoot prevention, same rationale as DlbConfig::avoid_overshoot).
-  bool avoid_overshoot = true;
   // Observability: sub-step spans (drift, shift, migrate, halo, force) in
   // virtual time; same contract as ParallelMdConfig::trace. Not owned.
   obs::TraceCollector* trace = nullptr;

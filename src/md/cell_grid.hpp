@@ -31,8 +31,7 @@ struct CellCoord {
 // unique flat indices of the cell itself and its up-to-26 neighbours. The
 // table is a pure function of (nx, ny, nz), so grids of the same shape share
 // one instance through a process-wide cache instead of rebuilding the
-// O(27 C) table on every CellGrid construction (NeighborList used to pay
-// this on every rebuild).
+// O(27 C) table on every CellGrid construction.
 struct StencilTable {
   std::vector<int> storage;             // num_cells * width entries
   std::vector<std::uint16_t> sizes;     // per-cell stencil size

@@ -2,6 +2,7 @@
 
 #include "util/checksum.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -65,6 +66,25 @@ sim::Buffer open_checkpoint(CheckpointKind kind, sim::Buffer sealed) {
   return sim::Buffer(sealed.begin() + kEnvelopeBytes, sealed.end());
 }
 
+void check_resumable(const ParticleVector& particles, const Box& box,
+                     const std::string& where) {
+  const auto axis = [](double x, double len) {
+    return std::isfinite(x) && x >= 0.0 && x <= len;
+  };
+  for (const Particle& particle : particles) {
+    const Vec3& p = particle.position;
+    const Vec3& v = particle.velocity;
+    if (!axis(p.x, box.length.x) || !axis(p.y, box.length.y) ||
+        !axis(p.z, box.length.z) || !std::isfinite(v.x) ||
+        !std::isfinite(v.y) || !std::isfinite(v.z)) {
+      throw CheckpointError(where + " particle id " +
+                            std::to_string(particle.id) +
+                            " has a non-finite position or velocity, or a "
+                            "position outside the box [0, L]");
+    }
+  }
+}
+
 void write_checkpoint_file(const std::string& path, const sim::Buffer& data) {
   std::FILE* file = std::fopen(path.c_str(), "wb");
   if (file == nullptr) {
@@ -119,6 +139,7 @@ SerialCheckpoint unpack_serial_checkpoint(sim::Buffer sealed) {
     state.step = unpacker.get<std::int64_t>();
     state.box = unpacker.get<Box>();
     state.particles = unpacker.get_vector<Particle>();
+    check_resumable(state.particles, state.box, "checkpoint: serial");
     state.has_rng = unpacker.get<std::uint8_t>() != 0;
     for (auto& word : state.rng_state) word = unpacker.get<std::uint64_t>();
     if (!unpacker.exhausted()) {

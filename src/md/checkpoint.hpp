@@ -58,6 +58,17 @@ sim::Buffer seal_checkpoint(CheckpointKind kind, sim::Buffer payload);
 // its byte offset.
 sim::Buffer open_checkpoint(CheckpointKind kind, sim::Buffer sealed);
 
+// Throws CheckpointError unless every restored particle is finite and
+// inside the closed box [0, L] on every axis. CellGrid::cell_of_position
+// casts position / cell_edge to int, undefined for NaN or inf, and clamps
+// the upper face x = L into the last cell, so [0, L] is exactly the range
+// it bins correctly. Velocities must be finite too, or the first drift
+// makes the position NaN. The message starts with `where` (the engine and,
+// for a parallel one, the rank) and names the particle id. Every resume
+// path calls this before the particles reach a cell grid.
+void check_resumable(const ParticleVector& particles, const Box& box,
+                     const std::string& where);
+
 // Whole-buffer file round-trip (binary). Throws CheckpointError on IO
 // failure.
 void write_checkpoint_file(const std::string& path, const sim::Buffer& data);

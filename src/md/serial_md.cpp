@@ -31,9 +31,6 @@ SerialMd::SerialMd(const Box& box, ParticleVector particles,
   if (config_.rescale_temperature) {
     thermostat_.emplace(*config_.rescale_temperature, config_.rescale_interval);
   }
-  if (config_.neighbor_skin) {
-    neighbor_list_.emplace(box_, config_.cutoff, *config_.neighbor_skin);
-  }
   step_count_ = config_.initial_step;
   all_cells_.resize(grid_.num_cells());
   std::iota(all_cells_.begin(), all_cells_.end(), 0);
@@ -41,22 +38,12 @@ SerialMd::SerialMd(const Box& box, ParticleVector particles,
 }
 
 ForceResult SerialMd::compute_forces() {
-  if (neighbor_list_) {
-    if (neighbor_list_->needs_rebuild(particles_)) {
-      neighbor_list_->rebuild(particles_);
-    }
-    return neighbor_list_->compute(particles_, lj_);
-  }
   if (!config_.use_cell_list) {
     return accumulate_forces_naive(particles_, box_, lj_);
   }
   bins_.rebuild(grid_, particles_);
   return accumulate_forces(particles_, grid_, bins_, all_cells_, lj_,
                            workspace_);
-}
-
-std::uint64_t SerialMd::neighbor_rebuilds() const {
-  return neighbor_list_ ? neighbor_list_->rebuild_count() : 0;
 }
 
 StepStats SerialMd::step() {

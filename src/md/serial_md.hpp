@@ -7,7 +7,6 @@
 #include "md/cell_grid.hpp"
 #include "md/integrator.hpp"
 #include "md/lj.hpp"
-#include "md/neighbor_list.hpp"
 #include "md/observables.hpp"
 #include "md/particle.hpp"
 #include "md/thermostat.hpp"
@@ -27,10 +26,6 @@ struct SerialMdConfig {
   std::optional<double> rescale_temperature = std::nullopt;
   int rescale_interval = 50;
   bool use_cell_list = true;  // false: O(N^2) force path
-  // When set, forces come from a Verlet neighbour list with this skin
-  // (overrides use_cell_list). The paper's method recomputes cell
-  // relationships every step; this is the classic amortised alternative.
-  std::optional<double> neighbor_skin = std::nullopt;
   // Step counter offset for restarts: a run checkpointed at step S and
   // resumed with initial_step = S reproduces the uninterrupted trajectory
   // bitwise (the thermostat schedule depends on the absolute step number).
@@ -63,8 +58,6 @@ class SerialMd {
   const CellBins& bins() const { return bins_; }
   std::int64_t step_count() const { return step_count_; }
   double total_energy() const;
-  // Rebuilds of the neighbour list so far (0 unless neighbor_skin is set).
-  std::uint64_t neighbor_rebuilds() const;
 
  private:
   ForceResult compute_forces();
@@ -78,7 +71,6 @@ class SerialMd {
   ForceWorkspace workspace_;
   VelocityVerlet integrator_;
   std::optional<RescaleThermostat> thermostat_;
-  std::optional<NeighborList> neighbor_list_;
   std::vector<int> all_cells_;
   std::int64_t step_count_ = 0;
   double last_potential_ = 0.0;

@@ -28,7 +28,6 @@
 #include "md/cell_grid.hpp"
 #include "md/integrator.hpp"
 #include "md/lj.hpp"
-#include "md/neighbor_list.hpp"
 #include "md/observables.hpp"
 #include "md/particle.hpp"
 #include "md/rdf.hpp"

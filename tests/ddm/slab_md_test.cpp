@@ -2,6 +2,7 @@
 
 #include "md/serial_md.hpp"
 #include "sim/checker.hpp"
+#include "sim/fault.hpp"
 #include "support/test_workloads.hpp"
 #include "util/rng.hpp"
 #include "workload/gas.hpp"
@@ -146,6 +147,51 @@ TEST(SlabMd, ShiftingReducesImbalanceOnConcentratedLoad) {
            std::max(stats.force_avg, 1e-30);
   };
   EXPECT_LT(imbalance(true), imbalance(false));
+}
+
+TEST(SlabMd, ShedsLayersOffAStalledRank) {
+  // Rank 1 computes six times slower for the whole run. Its busy time must
+  // be the clock movement the stall caused, not the cost it asked for, or
+  // the boundary shift sees a normal rank and never moves a layer off it.
+  sim::FaultPlan::Stall stall;
+  stall.rank = 1;
+  stall.from = 0.0;
+  stall.until = 1e9;
+  stall.factor = 6.0;
+  sim::FaultPlan plan;
+  plan.stalls.push_back(stall);
+  const auto initial = small_gas(600);
+
+  struct Outcome {
+    int rank1_layers = 0;
+    int shifts = 0;
+    double seconds = 0.0;
+  };
+  auto run = [&](bool shift) {
+    sim::FaultInjector injector(plan);
+    sim::SeqEngine engine(4);
+    engine.set_fault_injector(&injector);
+    SlabMd slab(engine, small_box(), initial, small_config(shift));
+    Outcome outcome;
+    for (int i = 0; i < 60; ++i) {
+      const SlabStepStats stats = slab.step();
+      outcome.shifts += stats.shifts;
+      outcome.seconds += stats.t_step;
+      EXPECT_EQ(stats.total_particles, 600);
+    }
+    EXPECT_TRUE(slab.check_partition());
+    const auto [lo, hi] = slab.slab_range(1);
+    outcome.rank1_layers = hi - lo;
+    engine.set_fault_injector(nullptr);
+    return outcome;
+  };
+
+  const Outcome fixed = run(false);
+  const Outcome shifting = run(true);
+  EXPECT_EQ(fixed.rank1_layers, 2);
+  EXPECT_GT(shifting.shifts, 0);
+  EXPECT_EQ(shifting.rank1_layers, 1);  // the stalled rank shed a layer
+  EXPECT_LT(shifting.seconds, 0.75 * fixed.seconds);
 }
 
 TEST(SlabMd, StaticSlabsNeverShift) {

@@ -2,14 +2,17 @@
 // ddm/wire_property_test.cpp: exact round-trips, then systematic corruption
 // (truncation at every length, trailing bytes, every single-byte flip,
 // kind confusion, field-level lies) against the buddy envelope and the
-// serial checkpoint, plus re-sealed ParallelMd checkpoints whose CRC passes
-// but whose state is invalid. The contract under test: every corruption
-// throws std::runtime_error *before* any caller state is touched — decode
-// returns a fully validated value or nothing.
+// serial checkpoint, plus re-sealed ParallelMd, SlabMd and serial
+// checkpoints whose CRC passes but whose state is invalid. The contract
+// under test: every corruption throws std::runtime_error *before* any
+// caller state is touched — decode returns a fully validated value or
+// nothing.
 #include "md/checkpoint.hpp"
 
 #include "ddm/parallel_md.hpp"
 #include "ddm/recovery.hpp"
+#include "ddm/slab_md.hpp"
+#include "md/serial_md.hpp"
 #include "sim/message.hpp"
 #include "util/rng.hpp"
 #include "workload/gas.hpp"
@@ -18,6 +21,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -198,7 +202,14 @@ TEST(CheckpointFuzz, SerialCheckpointEveryByteFlipThrows) {
   state.step = 12;
   state.box = Box::cubic(12.0);
   state.particles = random_particles(rng, 6);
+  // Inside the box, so the unflipped checkpoint opens and every throw below
+  // comes from the flipped byte, not from the particle check.
+  for (auto& p : state.particles) {
+    p.position = {rng.uniform(0.0, 12.0), rng.uniform(0.0, 12.0),
+                  rng.uniform(0.0, 12.0)};
+  }
   const auto sealed = md::pack_serial_checkpoint(state);
+  EXPECT_NO_THROW((void)md::unpack_serial_checkpoint(sealed));
   for (std::size_t byte = 0; byte < sealed.size(); ++byte) {
     auto corrupted = sealed;
     corrupted[byte] ^= 0x40;
@@ -286,14 +297,17 @@ ddm::ParallelMdConfig resume_config() {
   return config;
 }
 
-ParallelState parallel_state_after_one_step() {
+// The state every resume test starts from: 200 gas particles in a 15-box.
+md::ParticleVector resume_gas() {
   Rng rng(79);
   workload::GasConfig gas;
   gas.temperature = 0.722;
-  const Box box = Box::cubic(15.0);
+  return workload::random_gas(200, Box::cubic(15.0), gas, rng);
+}
+
+ParallelState parallel_state_after_one_step() {
   sim::SeqEngine engine(9);
-  ddm::ParallelMd pmd(engine, box, workload::random_gas(200, box, gas, rng),
-                      resume_config());
+  ddm::ParallelMd pmd(engine, Box::cubic(15.0), resume_gas(), resume_config());
   pmd.step();
   const ParallelState state = open_parallel(pmd.checkpoint());
   // The re-sealed, unmodified state must resume: the helpers are faithful.
@@ -303,13 +317,12 @@ ParallelState parallel_state_after_one_step() {
   return state;
 }
 
-// Resuming `state` must throw md::CheckpointError whose message contains
-// every string in `names`.
-void expect_resume_rejected(const ParallelState& state,
-                            const std::vector<std::string>& names) {
-  sim::SeqEngine engine(9);
+// `resume` must throw md::CheckpointError whose message contains every
+// string in `names`.
+void expect_rejected(const std::function<void()>& resume,
+                     const std::vector<std::string>& names) {
   try {
-    ddm::ParallelMd pmd(engine, seal_parallel(state), resume_config());
+    resume();
     ADD_FAILURE() << "CRC-valid but invalid checkpoint resumed";
   } catch (const md::CheckpointError& e) {
     for (const auto& name : names) {
@@ -317,6 +330,46 @@ void expect_resume_rejected(const ParallelState& state,
           << "'" << e.what() << "' does not name '" << name << "'";
     }
   }
+}
+
+void expect_resume_rejected(const ParallelState& state,
+                            const std::vector<std::string>& names) {
+  expect_rejected(
+      [&] {
+        sim::SeqEngine engine(9);
+        ddm::ParallelMd pmd(engine, seal_parallel(state), resume_config());
+      },
+      names);
+}
+
+// The particle states every resume path must reject: a non-finite position
+// or velocity component, or a position just outside the closed box [0, L].
+std::vector<std::function<void(md::Particle&)>> bad_particle_edits(
+    double edge) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  return {
+      [=](md::Particle& p) { p.position.y = nan; },
+      [=](md::Particle& p) { p.position.z = inf; },
+      [=](md::Particle& p) { p.position.x = -inf; },
+      [=](md::Particle& p) { p.position.x = -1e-12; },
+      [=](md::Particle& p) { p.position.x = std::nextafter(edge, 2.0 * edge); },
+      [=](md::Particle& p) { p.velocity.x = nan; },
+      [=](md::Particle& p) { p.velocity.z = -inf; },
+  };
+}
+
+// Moves the first particle of the top cell layer along x (edge - cell, edge)
+// onto the upper box face x = L; false when that layer is empty.
+bool move_onto_upper_face(md::ParticleVector& particles, double edge,
+                          double cell) {
+  for (auto& particle : particles) {
+    if (particle.position.x >= edge - cell) {
+      particle.position.x = edge;
+      return true;
+    }
+  }
+  return false;
 }
 
 TEST(CheckpointFuzz, ParallelResumeRejectsColumnOwnerOutOfRange) {
@@ -331,25 +384,13 @@ TEST(CheckpointFuzz, ParallelResumeRejectsColumnOwnerOutOfRange) {
 
 TEST(CheckpointFuzz, ParallelResumeRejectsNonFiniteOrOutOfBoxParticles) {
   const ParallelState good = parallel_state_after_one_step();
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  const double inf = std::numeric_limits<double>::infinity();
-  const double edge = good.box.length.x;
-  const auto mutate = [&](auto&& edit) {
+  for (const auto& edit : bad_particle_edits(good.box.length.x)) {
     ParallelState bad = good;
     md::Particle& particle = bad.ranks[2].owned.front();
     edit(particle);
     expect_resume_rejected(bad, {"rank 2", "particle id " +
                                                std::to_string(particle.id)});
-  };
-  mutate([&](md::Particle& p) { p.position.y = nan; });
-  mutate([&](md::Particle& p) { p.position.z = inf; });
-  mutate([&](md::Particle& p) { p.position.x = -inf; });
-  mutate([&](md::Particle& p) { p.position.x = -1e-12; });
-  mutate([&](md::Particle& p) {
-    p.position.x = std::nextafter(edge, 2.0 * edge);
-  });
-  mutate([&](md::Particle& p) { p.velocity.x = nan; });
-  mutate([&](md::Particle& p) { p.velocity.z = -inf; });
+  }
 }
 
 TEST(CheckpointFuzz, ParallelResumeAcceptsParticlesOnTheUpperBoxFace) {
@@ -360,17 +401,148 @@ TEST(CheckpointFuzz, ParallelResumeAcceptsParticlesOnTheUpperBoxFace) {
   const double cell = edge / 6.0;  // K = pe_side * m = 6 cells per axis
   bool moved = false;
   for (auto& rank : state.ranks) {
-    for (auto& particle : rank.owned) {
-      if (!moved && particle.position.x >= edge - cell) {
-        particle.position.x = edge;
-        moved = true;
-      }
-    }
+    moved = moved || move_onto_upper_face(rank.owned, edge, cell);
   }
   ASSERT_TRUE(moved);
   sim::SeqEngine engine(9);
   ddm::ParallelMd pmd(engine, seal_parallel(state), resume_config());
   for (int i = 0; i < 3; ++i) EXPECT_EQ(pmd.step().total_particles, 200);
+}
+
+// SlabMd::checkpoint()'s payload, field by field, for the same purpose as
+// ParallelState.
+struct SlabRankState {
+  md::ParticleVector owned;
+  std::int32_t lo = 0;
+  std::int32_t hi = 0;
+  double last_busy = 0.0;
+  double force_seconds = 0.0;
+};
+
+struct SlabState {
+  std::int32_t pe_count = 0;
+  std::int32_t layers = 0;
+  std::int64_t step = 0;
+  Box box;
+  std::vector<SlabRankState> ranks;
+};
+
+SlabState open_slab(const sim::Buffer& sealed) {
+  sim::Unpacker unpacker(
+      md::open_checkpoint(md::CheckpointKind::kSlab, sealed));
+  SlabState state;
+  state.pe_count = unpacker.get<std::int32_t>();
+  state.layers = unpacker.get<std::int32_t>();
+  state.step = unpacker.get<std::int64_t>();
+  state.box = unpacker.get<Box>();
+  state.ranks.resize(static_cast<std::size_t>(state.pe_count));
+  for (auto& rank : state.ranks) {
+    rank.owned = unpacker.get_vector<md::Particle>();
+    rank.lo = unpacker.get<std::int32_t>();
+    rank.hi = unpacker.get<std::int32_t>();
+    rank.last_busy = unpacker.get<double>();
+    rank.force_seconds = unpacker.get<double>();
+  }
+  EXPECT_TRUE(unpacker.exhausted());
+  return state;
+}
+
+sim::Buffer seal_slab(const SlabState& state) {
+  sim::Packer packer;
+  packer.put(state.pe_count);
+  packer.put(state.layers);
+  packer.put(state.step);
+  packer.put(state.box);
+  for (const auto& rank : state.ranks) {
+    packer.put_vector(rank.owned);
+    packer.put(rank.lo);
+    packer.put(rank.hi);
+    packer.put(rank.last_busy);
+    packer.put(rank.force_seconds);
+  }
+  return md::seal_checkpoint(md::CheckpointKind::kSlab, packer.take());
+}
+
+ddm::SlabMdConfig slab_resume_config() {
+  ddm::SlabMdConfig config;
+  config.pe_count = 3;  // 6 layers of 2.5 in the 15-box: 2 per rank
+  config.cutoff = 2.5;
+  config.dt = 0.004;
+  config.shift_enabled = true;
+  return config;
+}
+
+SlabState slab_state_after_one_step() {
+  sim::SeqEngine engine(3);
+  ddm::SlabMd slab(engine, Box::cubic(15.0), resume_gas(),
+                   slab_resume_config());
+  slab.step();
+  const SlabState state = open_slab(slab.checkpoint());
+  sim::SeqEngine fresh(3);
+  ddm::SlabMd resumed(fresh, seal_slab(state), slab_resume_config());
+  resumed.step();
+  return state;
+}
+
+md::SerialCheckpoint serial_state_after_one_step() {
+  md::SerialMd serial(Box::cubic(15.0), resume_gas(), md::SerialMdConfig{});
+  serial.step();
+  md::SerialCheckpoint state;
+  state.step = serial.step_count();
+  state.box = serial.box();
+  state.particles = serial.particles();
+  return state;
+}
+
+TEST(CheckpointFuzz, SlabResumeRejectsNonFiniteOrOutOfBoxParticles) {
+  const SlabState good = slab_state_after_one_step();
+  for (const auto& edit : bad_particle_edits(good.box.length.x)) {
+    SlabState bad = good;
+    md::Particle& particle = bad.ranks[1].owned.front();
+    edit(particle);
+    expect_rejected(
+        [&] {
+          sim::SeqEngine engine(3);
+          ddm::SlabMd slab(engine, seal_slab(bad), slab_resume_config());
+        },
+        {"SlabMd", "rank 1", "particle id " + std::to_string(particle.id)});
+  }
+}
+
+TEST(CheckpointFuzz, SerialResumeRejectsNonFiniteOrOutOfBoxParticles) {
+  const md::SerialCheckpoint good = serial_state_after_one_step();
+  for (const auto& edit : bad_particle_edits(good.box.length.x)) {
+    md::SerialCheckpoint bad = good;
+    md::Particle& particle = bad.particles[17];
+    edit(particle);
+    expect_rejected(
+        [&] {
+          (void)md::unpack_serial_checkpoint(md::pack_serial_checkpoint(bad));
+        },
+        {"serial", "particle id " + std::to_string(particle.id)});
+  }
+}
+
+TEST(CheckpointFuzz, SlabAndSerialResumeAcceptParticlesOnTheUpperBoxFace) {
+  // The closed box of ParallelResumeAcceptsParticlesOnTheUpperBoxFace holds
+  // for the other two resume paths.
+  SlabState slab_state = slab_state_after_one_step();
+  const double edge = slab_state.box.length.x;
+  ASSERT_TRUE(move_onto_upper_face(slab_state.ranks[2].owned, edge, 2.5));
+  sim::SeqEngine engine(3);
+  ddm::SlabMd slab(engine, seal_slab(slab_state), slab_resume_config());
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(slab.step().total_particles, 200);
+  EXPECT_TRUE(slab.check_partition());
+
+  md::SerialCheckpoint serial_state = serial_state_after_one_step();
+  ASSERT_TRUE(move_onto_upper_face(serial_state.particles, edge, 2.5));
+  const md::SerialCheckpoint restored =
+      md::unpack_serial_checkpoint(md::pack_serial_checkpoint(serial_state));
+  md::SerialMdConfig config;
+  config.initial_step = restored.step;
+  md::SerialMd serial(restored.box, restored.particles, config);
+  EXPECT_EQ(serial.run(3).step, 4);
+  EXPECT_EQ(serial.particles().size(), 200u);
 }
 
 TEST(CheckpointFuzz, DecodeFailureLeavesCallerStateUntouched) {

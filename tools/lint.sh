@@ -10,7 +10,7 @@
 #      clang-format is not installed — the CI lint job has it).
 #   2. pcmd-analyze over the whole tree must report zero findings. The
 #      analyzer is configured standalone from tools/analyze so a bare lint
-#      runner needs only cmake and a C++20 compiler, not GTest/benchmark.
+#      runner needs only cmake and a C++20 compiler, not GTest.
 set -u
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
