@@ -101,9 +101,7 @@ double run_slab8(sim::Engine& engine, std::int64_t n, std::int64_t steps) {
   config.cells_per_axis = 16;
   config.dt = 0.004;
   config.shift_enabled = true;
-  ddm::SlabMd md(ddm::EngineConfig{.engine = &engine, .box = box,
-                                   .initial = &initial},
-                 config);
+  ddm::SlabMd md(engine, box, initial, config);
   return time_seconds([&] {
     for (std::int64_t i = 0; i < steps; ++i) md.step();
   });

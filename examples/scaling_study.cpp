@@ -65,12 +65,13 @@ int run_degrade_mode(const pcmd::run::RunSpec& base) {
   // fault_plan() folds the degrade stall into any --faults plan.
   sim::FaultInjector injector(spec.fault_plan());
 
-  sim::SeqEngine engine(spec.system.pe_count);
+  const ddm::ParallelMdConfig config = spec.parallel_config();
+  sim::SeqEngine engine(ddm::engine_rank_count(config));
   engine.set_fault_injector(&injector);
   ddm::ParallelMd md(ddm::EngineConfig{.engine = &engine,
                                        .box = spec.system.box(),
                                        .initial = &initial},
-                     spec.parallel_config());
+                     config);
 
   std::printf("== degrade mode: rank %d slows %.1fx at t=%g s (3x3, m=%d, "
               "DLB on) ==\n",
@@ -152,7 +153,6 @@ int main(int argc, char** argv) {
   std::optional<sim::FaultInjector> injector;
   if (!faults.empty()) injector.emplace(faults);
   const int checkpoint_every = base.checkpoint_every;
-  const int spares = base.fault_tolerance.healing.spares;
   const bool healing = base.healing_enabled();
   const std::int64_t steps = base.steps;
 
@@ -166,14 +166,14 @@ int main(int argc, char** argv) {
     Rng rng(spec.seed);
     const auto initial = workload::make_paper_system(spec, rng);
 
-    sim::SeqEngine engine(spec.pe_count + (healing ? spares : 0));
+    ddm::ParallelMdConfig config = case_spec.parallel_config();
+    sim::SeqEngine engine(ddm::engine_rank_count(config));
     if (injector) engine.set_fault_injector(&*injector);
     obs::TraceSession session(
         engine, case_spec.trace_path ? *case_spec.trace_path + ".p" +
                                            std::to_string(spec.pe_count) +
                                            ".json"
                                      : "");
-    ddm::ParallelMdConfig config = case_spec.parallel_config();
     config.trace = session.collector();
     ddm::ParallelMd md(ddm::EngineConfig{.engine = &engine, .box = spec.box(),
                                          .initial = &initial},

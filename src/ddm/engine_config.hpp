@@ -1,12 +1,15 @@
-// Shared construction context for the ddm engines.
+// ParallelMd's construction context, and the compute charge both ddm
+// engines share.
 //
-// ParallelMd and SlabMd historically took their execution context as a run
-// of positional constructor arguments — (engine, box, initial particles) or
+// ParallelMd historically took its execution context as a run of
+// positional constructor arguments — (engine, box, initial particles) or
 // (engine, checkpoint). EngineConfig names those pieces once, so call sites
-// (and the run::RunSpec layer built on top of the engines) read
+// (and the run::RunSpec layer built on top of the engine) read
 // declaratively and new context can be added without widening every
 // constructor. The positional constructors remain as thin forwarding shims.
-// Both engines also charge their compute through advance_compute below.
+// SlabMd only starts fresh, so its one constructor takes (engine, box,
+// initial) and needs no "exactly one of" check. Both engines charge their
+// compute through advance_compute below.
 #pragma once
 
 #include "md/particle.hpp"
@@ -19,9 +22,9 @@
 
 namespace pcmd::ddm {
 
-// The execution context an engine is constructed over. Pointers are
+// The execution context ParallelMd is constructed over. Pointers are
 // non-owning and must stay valid for the duration of the constructor call
-// (the engines copy what they keep). Exactly one of `initial` and
+// (the engine copies what it keeps). Exactly one of `initial` and
 // `checkpoint` must be set: a fresh start bins `initial` into `box`, a
 // resume restores box and state from the checkpoint buffer (`box` is then
 // ignored).

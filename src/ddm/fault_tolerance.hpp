@@ -1,5 +1,5 @@
-// Fault-tolerance knobs shared by the parallel MD engines (the paper's
-// square-pillar ParallelMd and the 1-D slab baseline SlabMd).
+// Fault-tolerance knobs of the paper's square-pillar engine, ParallelMd.
+// The 1-D slab baseline SlabMd runs fault-free and has none.
 #pragma once
 
 #include "ddm/recovery.hpp"
@@ -19,9 +19,7 @@ struct FaultToleranceConfig {
   // and continue with its particles lost. Consistent adoption requires
   // every survivor to observe the crash in the same phase, which the
   // 8-neighbour digest traffic guarantees on a 3x3 process torus (each rank
-  // hears from every other rank every step). Only ParallelMd implements
-  // recovery; SlabMd ignores this flag (a ring cannot re-close around a
-  // dead rank without global renumbering).
+  // hears from every other rank every step).
   bool recovery = false;
   double recv_timeout = 5e-4;  // virtual seconds before a peer is presumed dead
 

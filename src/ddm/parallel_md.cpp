@@ -29,17 +29,13 @@ std::pair<int, int> decode_composite(double value) {
   return {hi, lo};
 }
 
-// Engine rank count the configuration demands: the decomposition's P, plus
-// the spare pool when self-healing is on. Validated before Membership is
-// built so a bad count fails with engine-level provenance.
+// Checks the engine against engine_rank_count before Membership is built,
+// so a bad count fails with engine-level provenance.
 int validated_rank_count(const sim::Engine& engine,
-                         const core::PillarLayout& layout,
                          const ParallelMdConfig& config) {
-  const auto& healing = config.fault_tolerance.healing;
-  const int spares = healing.enabled ? std::max(healing.spares, 0) : 0;
-  if (engine.size() != layout.pe_count() + spares) {
+  if (engine.size() != engine_rank_count(config)) {
     throw std::invalid_argument(
-        healing.enabled
+        config.fault_tolerance.healing.enabled
             ? "ParallelMd: engine rank count must equal pe_side^2 + "
               "healing.spares"
             : "ParallelMd: engine rank count must equal pe_side^2");
@@ -47,6 +43,16 @@ int validated_rank_count(const sim::Engine& engine,
   return engine.size();
 }
 }  // namespace
+
+int engine_rank_count(const ParallelMdConfig& config) {
+  const auto& healing = config.fault_tolerance.healing;
+  if (healing.spares < 0) {
+    throw std::invalid_argument(
+        "ParallelMd: fault_tolerance.healing.spares must not be negative");
+  }
+  return config.pe_side * config.pe_side +
+         (healing.enabled ? healing.spares : 0);
+}
 
 ParallelMd::ParallelMd(const EngineConfig& setup,
                        const ParallelMdConfig& config)
@@ -61,7 +67,7 @@ ParallelMd::ParallelMd(const EngineConfig& setup,
       integrator_(config.dt),
       balancer_(make_balancer(layout_, config.dlb, config.balancer)),
       membership_(layout_.pe_count(),
-                  validated_rank_count(*setup.engine, layout_, config)),
+                  validated_rank_count(*setup.engine, config)),
       watchdog_(config.fault_tolerance.healing) {
   if (config.rescale_temperature) {
     thermostat_.emplace(*config.rescale_temperature, config.rescale_interval);

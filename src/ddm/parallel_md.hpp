@@ -90,6 +90,11 @@ struct ParallelMdConfig {
   FaultToleranceConfig fault_tolerance;
 };
 
+// The engine rank count a ParallelMd with `config` runs on: pe_side^2, plus
+// fault_tolerance.healing.spares when healing is enabled. Size the engine
+// with this. Throws std::invalid_argument for a negative spare count.
+int engine_rank_count(const ParallelMdConfig& config);
+
 // Per-step statistics (globally reduced; identical on every rank).
 struct ParallelStepStats {
   std::int64_t step = 0;

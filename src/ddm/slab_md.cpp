@@ -1,9 +1,8 @@
 #include "ddm/slab_md.hpp"
 
+#include "ddm/engine_config.hpp"
 #include "ddm/wire.hpp"
-#include "md/checkpoint.hpp"
 #include "md/observables.hpp"
-#include "obs/collector.hpp"
 
 #include <algorithm>
 #include <sstream>
@@ -72,62 +71,41 @@ int boundary_shift(const SlabInfo& a, const SlabInfo& b) {
 }
 }  // namespace
 
-SlabMd::SlabMd(const EngineConfig& setup, const SlabMdConfig& config)
-    : engine_(&validated_engine(setup, "SlabMd")),
-      box_(Box::cubic(1.0)),  // placeholder; set by the init path below
+SlabMd::SlabMd(sim::Engine& engine, const Box& box,
+               const md::ParticleVector& initial, const SlabMdConfig& config)
+    : engine_(&engine),
+      box_(box),
       config_(config),
-      grid_(Box::cubic(static_cast<double>(config.pe_count) * config.cutoff),
-            config.pe_count, config.pe_count, config.pe_count),
+      grid_(config.cells_per_axis > 0
+                ? md::CellGrid(box, config.cells_per_axis,
+                               config.cells_per_axis, config.cells_per_axis)
+                : md::CellGrid(box, config.cutoff)),
       lj_(config.cutoff),
       integrator_(config.dt) {
   if (config.pe_count < 3) {
     throw std::invalid_argument("SlabMd: need at least 3 PEs on the ring");
   }
-  if (engine_->size() != config.pe_count) {
+  if (engine.size() != config.pe_count) {
     throw std::invalid_argument("SlabMd: engine rank count mismatch");
+  }
+  if (grid_.nx() < config.pe_count) {
+    throw std::invalid_argument("SlabMd: more PEs than cell layers along x");
+  }
+  if (!grid_.covers_cutoff(config.cutoff)) {
+    throw std::invalid_argument("SlabMd: cell edge smaller than the cut-off");
   }
   if (config.rescale_temperature) {
     thermostat_.emplace(*config.rescale_temperature, config.rescale_interval);
   }
-  if (setup.checkpoint != nullptr) {
-    init_resume(*setup.checkpoint);
-  } else {
-    init_fresh(setup.box, *setup.initial);
-  }
-}
 
-SlabMd::SlabMd(sim::Engine& engine, const Box& box,
-               const md::ParticleVector& initial, const SlabMdConfig& config)
-    : SlabMd(EngineConfig{.engine = &engine, .box = box, .initial = &initial},
-             config) {}
-
-SlabMd::SlabMd(sim::Engine& engine, const sim::Buffer& checkpoint,
-               const SlabMdConfig& config)
-    : SlabMd(EngineConfig{.engine = &engine, .checkpoint = &checkpoint},
-             config) {}
-
-void SlabMd::init_fresh(const Box& box, const md::ParticleVector& initial) {
-  box_ = box;
-  grid_ = config_.cells_per_axis > 0
-              ? md::CellGrid(box_, config_.cells_per_axis,
-                             config_.cells_per_axis, config_.cells_per_axis)
-              : md::CellGrid(box_, config_.cutoff);
-  if (grid_.nx() < config_.pe_count) {
-    throw std::invalid_argument(
-        "SlabMd: more PEs than cell layers along x");
-  }
-  if (!grid_.covers_cutoff(config_.cutoff)) {
-    throw std::invalid_argument("SlabMd: cell edge smaller than the cut-off");
-  }
-
-  ranks_.reserve(config_.pe_count);
-  for (int r = 0; r < config_.pe_count; ++r) {
+  ranks_.reserve(config.pe_count);
+  for (int r = 0; r < config.pe_count; ++r) {
     auto rank = std::make_unique<Rank>();
     // Even initial partition of the K layers.
     rank->lo = static_cast<int>(static_cast<std::int64_t>(r) * grid_.nx() /
-                                config_.pe_count);
+                                config.pe_count);
     rank->hi = static_cast<int>(static_cast<std::int64_t>(r + 1) *
-                                grid_.nx() / config_.pe_count);
+                                grid_.nx() / config.pe_count);
     ranks_.push_back(std::move(rank));
   }
 
@@ -144,171 +122,15 @@ void SlabMd::init_fresh(const Box& box, const md::ParticleVector& initial) {
     }
   }
 
-  finish_construction(false, {});
-}
-
-void SlabMd::init_resume(const sim::Buffer& checkpoint) {
-  sim::Unpacker unpacker(
-      md::open_checkpoint(md::CheckpointKind::kSlab, checkpoint));
-  try {
-    const auto pe_count = unpacker.get<std::int32_t>();
-    if (pe_count != config_.pe_count) {
-      throw md::CheckpointError("SlabMd: checkpoint ring size (pe_count=" +
-                               std::to_string(pe_count) +
-                               ") does not match the config");
-    }
-    const auto layers = unpacker.get<std::int32_t>();
-    step_count_ = unpacker.get<std::int64_t>();
-    box_ = unpacker.get<Box>();
-    grid_ = config_.cells_per_axis > 0
-                ? md::CellGrid(box_, config_.cells_per_axis,
-                               config_.cells_per_axis, config_.cells_per_axis)
-                : md::CellGrid(box_, config_.cutoff);
-    if (grid_.nx() != layers) {
-      throw md::CheckpointError(
-          "SlabMd: checkpoint layer count (" + std::to_string(layers) +
-          ") does not match the config's grid (" + std::to_string(grid_.nx()) +
-          ")");
-    }
-    if (!grid_.covers_cutoff(config_.cutoff)) {
-      throw md::CheckpointError(
-          "SlabMd: checkpointed box too small for this cut-off");
-    }
-    std::vector<double> last_busy(static_cast<std::size_t>(config_.pe_count),
-                                  0.0);
-    ranks_.reserve(config_.pe_count);
-    for (int r = 0; r < config_.pe_count; ++r) {
-      auto rank = std::make_unique<Rank>();
-      rank->owned = unpacker.get_vector<md::Particle>();
-      md::check_resumable(rank->owned, box_,
-                          "SlabMd: checkpoint rank " + std::to_string(r));
-      rank->lo = unpacker.get<std::int32_t>();
-      rank->hi = unpacker.get<std::int32_t>();
-      if (rank->hi - rank->lo < 1 || rank->lo < 0 || rank->hi > grid_.nx()) {
-        throw md::CheckpointError("SlabMd: checkpoint slab range invalid");
-      }
-      last_busy[static_cast<std::size_t>(r)] = unpacker.get<double>();
-      rank->force_seconds = unpacker.get<double>();
-      ranks_.push_back(std::move(rank));
-    }
-    if (!unpacker.exhausted()) {
-      throw md::CheckpointError("SlabMd: trailing bytes in checkpoint payload");
-    }
-    finish_construction(true, last_busy);
-  } catch (const std::out_of_range& e) {
-    throw md::CheckpointError(std::string("SlabMd: truncated checkpoint: ") +
-                             e.what());
-  }
-}
-
-void SlabMd::finish_construction(bool resume,
-                                 const std::vector<double>& resume_last_busy) {
-  if (config_.trace) {
-    config_.trace->on_attach(config_.pe_count);
-    spans_.drift = config_.trace->intern("drift");
-    spans_.shift = config_.trace->intern("shift");
-    spans_.migrate = config_.trace->intern("migrate");
-    spans_.halo = config_.trace->intern("halo");
-    spans_.force = config_.trace->intern("force");
-  }
-  for (auto& rank : ranks_) {
-    rank->channel = sim::ReliableChannel(config_.fault_tolerance.policy);
-  }
-
-  // Initial force computation so the first step's drift has f(t). On resume
-  // the forces recompute bitwise from the restored positions; the restored
-  // busy times then overwrite what this phase charged, because they — not
-  // the init cost — drive the next boundary-shift decision.
+  // Initial force computation so the first step's drift has f(t).
   engine_->run_phase([this](sim::Comm& comm) {
-    Rank& rank = *ranks_[comm.rank()];
-    auto pack_layer = [&](int layer) {
-      auto& records = rank.halo_records;
-      records.clear();
-      for (const auto& p : rank.owned) {
-        if (layer_of_position(p.position) == layer) {
-          records.push_back({p.id, p.position});
-        }
-      }
-      return pack_halo(records);
-    };
-    PCMD_HB_ACCESS(comm, "slab-halo", comm.rank(), /*is_write=*/true, "halo");
-    send_to(comm, rank, left(comm.rank()), kSlabInitHalo, pack_layer(rank.lo));
-    send_to(comm, rank, right(comm.rank()), kSlabInitHalo,
-            pack_layer(rank.hi - 1));
+    send_halo(comm, *ranks_[comm.rank()], kSlabInitHalo);
   });
   engine_->run_phase([this](sim::Comm& comm) {
     Rank& rank = *ranks_[comm.rank()];
-    rank.with_halo = rank.owned;
-    for (const int nb : {left(comm.rank()), right(comm.rank())}) {
-      const auto halo = unpack_halo(recv_from(comm, rank, nb, kSlabInitHalo));
-      PCMD_HB_ACCESS(comm, "slab-halo", nb, /*is_write=*/false, "halo");
-      for (const auto& record : halo) {
-        md::Particle p;
-        p.id = record.id;
-        p.position = record.position;
-        rank.with_halo.push_back(p);
-      }
-    }
-    rank.bins.rebuild(grid_, rank.with_halo);
-    auto& targets = rank.target_cells;
-    cells_of_layers(rank.lo, rank.hi, targets);
-    const auto result = md::accumulate_forces(
-        rank.with_halo, grid_, rank.bins, targets, lj_, rank.workspace);
-    const double cost = engine_->model().pair_cost * result.pair_evaluations +
-                        engine_->model().cell_cost * targets.size();
-    rank.last_busy = advance_compute(comm, cost, rank.busy_accum);
-    rank.owned.assign(rank.with_halo.begin(),
-                      rank.with_halo.begin() + rank.owned.size());
+    receive_halo(comm, rank, kSlabInitHalo);
+    rank.last_busy = compute_forces(comm, rank).second;
   });
-  if (resume) {
-    for (std::size_t r = 0; r < ranks_.size(); ++r) {
-      ranks_[r]->last_busy = resume_last_busy[r];
-    }
-  }
-}
-
-sim::Buffer SlabMd::checkpoint() const {
-  sim::Packer packer;
-  packer.put(static_cast<std::int32_t>(config_.pe_count));
-  packer.put(static_cast<std::int32_t>(grid_.nx()));
-  packer.put(step_count_);
-  packer.put(box_);
-  for (const auto& rank : ranks_) {
-    packer.put_vector(rank->owned);
-    packer.put(static_cast<std::int32_t>(rank->lo));
-    packer.put(static_cast<std::int32_t>(rank->hi));
-    packer.put(rank->last_busy);
-    packer.put(rank->force_seconds);
-  }
-  return md::seal_checkpoint(md::CheckpointKind::kSlab, packer.take());
-}
-
-void SlabMd::send_to(sim::Comm& comm, Rank& rank, int dst, int tag,
-                     sim::Buffer payload) {
-  if (config_.fault_tolerance.reliable) {
-    rank.channel.send(comm, dst, tag, payload);
-  } else {
-    comm.send(dst, tag, std::move(payload));
-  }
-}
-
-sim::Buffer SlabMd::recv_from(sim::Comm& comm, Rank& rank, int src, int tag) {
-  if (config_.fault_tolerance.reliable) {
-    return rank.channel.recv(comm, src, tag);
-  }
-  return comm.recv(src, tag);
-}
-
-void SlabMd::span_begin(sim::Comm& comm, std::uint32_t name) const {
-  if (config_.trace) {
-    config_.trace->span_begin(comm.rank(), name, comm.clock());
-  }
-}
-
-void SlabMd::span_end(sim::Comm& comm, std::uint32_t name) const {
-  if (config_.trace) {
-    config_.trace->span_end(comm.rank(), name, comm.clock());
-  }
 }
 
 int SlabMd::left(int rank) const {
@@ -342,15 +164,62 @@ double SlabMd::layer_load(const Rank& rank, int layer) const {
   return load;
 }
 
+void SlabMd::send_halo(sim::Comm& comm, Rank& rank, int tag) {
+  auto pack_layer = [&](int layer) {
+    auto& records = rank.halo_records;
+    records.clear();
+    for (const auto& p : rank.owned) {
+      if (layer_of_position(p.position) == layer) {
+        records.push_back({p.id, p.position});
+      }
+    }
+    return pack_halo(records);
+  };
+  PCMD_HB_ACCESS(comm, "slab-halo", comm.rank(), /*is_write=*/true, "halo");
+  comm.send(left(comm.rank()), tag, pack_layer(rank.lo));
+  comm.send(right(comm.rank()), tag, pack_layer(rank.hi - 1));
+}
+
+void SlabMd::receive_halo(sim::Comm& comm, Rank& rank, int tag) {
+  rank.with_halo = rank.owned;
+  for (const int nb : {left(comm.rank()), right(comm.rank())}) {
+    const auto halo = unpack_halo(comm.recv(nb, tag));
+    // After the recv: the message is the edge that orders this read behind
+    // the neighbour's send_halo write.
+    PCMD_HB_ACCESS(comm, "slab-halo", nb, /*is_write=*/false, "halo");
+    for (const auto& record : halo) {
+      md::Particle p;
+      p.id = record.id;
+      p.position = record.position;
+      rank.with_halo.push_back(p);
+    }
+  }
+}
+
+std::pair<md::ForceResult, double> SlabMd::compute_forces(sim::Comm& comm,
+                                                          Rank& rank) {
+  rank.bins.rebuild(grid_, rank.with_halo);
+  auto& targets = rank.target_cells;
+  cells_of_layers(rank.lo, rank.hi, targets);
+  const auto result = md::accumulate_forces(
+      rank.with_halo, grid_, rank.bins, targets, lj_, rank.workspace);
+  const double seconds = advance_compute(
+      comm,
+      engine_->model().pair_cost * result.pair_evaluations +
+          engine_->model().cell_cost * targets.size(),
+      rank.busy_accum);
+  rank.owned.assign(rank.with_halo.begin(),
+                    rank.with_halo.begin() + rank.owned.size());
+  return {result, seconds};
+}
+
 void SlabMd::phase_a_drift_and_times(sim::Comm& comm) {
   Rank& rank = *ranks_[comm.rank()];
   rank.busy_accum = 0.0;
   rank.shifts_made = 0;
-  span_begin(comm, spans_.drift);
   advance_compute(comm, engine_->model().particle_cost * rank.owned.size(),
                   rank.busy_accum);
   integrator_.drift(rank.owned, box_);
-  span_end(comm, spans_.drift);
 
   SlabInfo info;
   info.busy = rank.last_busy;
@@ -362,18 +231,16 @@ void SlabMd::phase_a_drift_and_times(sim::Comm& comm) {
   // My slab descriptor is shared state read by both ring neighbours in
   // phase B; the kSlabInfo messages order those reads after this write.
   PCMD_HB_ACCESS(comm, "slab-info", comm.rank(), /*is_write=*/true, "drift");
-  send_to(comm, rank, left(comm.rank()), kSlabInfo, pack_info(info));
-  send_to(comm, rank, right(comm.rank()), kSlabInfo, pack_info(info));
+  comm.send(left(comm.rank()), kSlabInfo, pack_info(info));
+  comm.send(right(comm.rank()), kSlabInfo, pack_info(info));
 }
 
 void SlabMd::phase_b_shift_and_migrate(sim::Comm& comm) {
   const int me = comm.rank();
   Rank& rank = *ranks_[me];
-  const SlabInfo left_info =
-      unpack_info(recv_from(comm, rank, left(me), kSlabInfo));
+  const SlabInfo left_info = unpack_info(comm.recv(left(me), kSlabInfo));
   PCMD_HB_ACCESS(comm, "slab-info", left(me), /*is_write=*/false, "shift");
-  const SlabInfo right_info =
-      unpack_info(recv_from(comm, rank, right(me), kSlabInfo));
+  const SlabInfo right_info = unpack_info(comm.recv(right(me), kSlabInfo));
   PCMD_HB_ACCESS(comm, "slab-info", right(me), /*is_write=*/false, "shift");
 
   SlabInfo my_info;
@@ -404,7 +271,6 @@ void SlabMd::phase_b_shift_and_migrate(sim::Comm& comm) {
   };
 
   if (config_.shift_enabled) {
-    span_begin(comm, spans_.shift);
     // The boundary positions themselves are NOT stamped for the
     // happens-before detector: both sides recompute boundary_shift from the
     // same two SlabInfo records (replicated deterministic computation), so
@@ -437,10 +303,8 @@ void SlabMd::phase_b_shift_and_migrate(sim::Comm& comm) {
         rank.hi += 1;  // right neighbour sheds its bottom layer to me
       }
     }
-    span_end(comm, spans_.shift);
   }
 
-  span_begin(comm, spans_.migrate);
   // Migration: particles that drifted out of [lo, hi). A particle can end
   // up at most 2 layers outside: one layer of physical drift plus one layer
   // of boundary shift in the same step — and in the shift case the shed
@@ -468,21 +332,18 @@ void SlabMd::phase_b_shift_and_migrate(sim::Comm& comm) {
   }
   rank.owned.erase(keep, rank.owned.end());
 
-  send_to(comm, rank, left(me), kSlabTransfer, pack_particles(to_left));
-  send_to(comm, rank, right(me), kSlabTransfer, pack_particles(to_right));
-  send_to(comm, rank, left(me), kSlabMigrate, pack_particles(migrate_left));
-  send_to(comm, rank, right(me), kSlabMigrate, pack_particles(migrate_right));
-  span_end(comm, spans_.migrate);
+  comm.send(left(me), kSlabTransfer, pack_particles(to_left));
+  comm.send(right(me), kSlabTransfer, pack_particles(to_right));
+  comm.send(left(me), kSlabMigrate, pack_particles(migrate_left));
+  comm.send(right(me), kSlabMigrate, pack_particles(migrate_right));
 }
 
 void SlabMd::phase_c_absorb_and_halo(sim::Comm& comm) {
   const int me = comm.rank();
   Rank& rank = *ranks_[me];
-  span_begin(comm, spans_.migrate);
   for (const int nb : {left(me), right(me)}) {
     bool absorbed_layer = false;
-    for (const auto& p :
-         unpack_particles(recv_from(comm, rank, nb, kSlabTransfer))) {
+    for (const auto& p : unpack_particles(comm.recv(nb, kSlabTransfer))) {
       if (!absorbed_layer) {
         // Absorption side of the shed layer stamped in phase B; every
         // particle of one transfer sits in the one shifted layer.
@@ -492,8 +353,7 @@ void SlabMd::phase_c_absorb_and_halo(sim::Comm& comm) {
       }
       rank.owned.push_back(p);
     }
-    for (const auto& p :
-         unpack_particles(recv_from(comm, rank, nb, kSlabMigrate))) {
+    for (const auto& p : unpack_particles(comm.recv(nb, kSlabMigrate))) {
       const int layer = layer_of_position(p.position);
       if (layer < rank.lo || layer >= rank.hi) {
         throw std::logic_error("SlabMd: migrant delivered to wrong slab");
@@ -501,59 +361,16 @@ void SlabMd::phase_c_absorb_and_halo(sim::Comm& comm) {
       rank.owned.push_back(p);
     }
   }
-  span_end(comm, spans_.migrate);
 
-  span_begin(comm, spans_.halo);
-  auto pack_layer = [&](int layer) {
-    auto& records = rank.halo_records;
-    records.clear();
-    for (const auto& p : rank.owned) {
-      if (layer_of_position(p.position) == layer) {
-        records.push_back({p.id, p.position});
-      }
-    }
-    return pack_halo(records);
-  };
-  PCMD_HB_ACCESS(comm, "slab-halo", me, /*is_write=*/true, "halo");
-  send_to(comm, rank, left(me), kSlabHalo, pack_layer(rank.lo));
-  send_to(comm, rank, right(me), kSlabHalo, pack_layer(rank.hi - 1));
-  span_end(comm, spans_.halo);
+  send_halo(comm, rank, kSlabHalo);
 }
 
 void SlabMd::phase_d_forces(sim::Comm& comm) {
-  const int me = comm.rank();
-  Rank& rank = *ranks_[me];
-  span_begin(comm, spans_.halo);
-  rank.with_halo = rank.owned;
-  for (const int nb : {left(me), right(me)}) {
-    const auto halo = unpack_halo(recv_from(comm, rank, nb, kSlabHalo));
-    // After the recv: the message is the edge that orders this read behind
-    // the neighbour's phase-C write.
-    PCMD_HB_ACCESS(comm, "slab-halo", nb, /*is_write=*/false, "halo");
-    for (const auto& record : halo) {
-      md::Particle p;
-      p.id = record.id;
-      p.position = record.position;
-      rank.with_halo.push_back(p);
-    }
-  }
-  span_end(comm, spans_.halo);
-  span_begin(comm, spans_.force);
-  rank.bins.rebuild(grid_, rank.with_halo);
-  auto& targets = rank.target_cells;
-  cells_of_layers(rank.lo, rank.hi, targets);
-  const auto result = md::accumulate_forces(
-      rank.with_halo, grid_, rank.bins, targets, lj_, rank.workspace);
-  rank.force_seconds = advance_compute(
-      comm,
-      engine_->model().pair_cost * result.pair_evaluations +
-          engine_->model().cell_cost * targets.size(),
-      rank.busy_accum);
-
-  rank.owned.assign(rank.with_halo.begin(),
-                    rank.with_halo.begin() + rank.owned.size());
+  Rank& rank = *ranks_[comm.rank()];
+  receive_halo(comm, rank, kSlabHalo);
+  const auto [result, seconds] = compute_forces(comm, rank);
+  rank.force_seconds = seconds;
   integrator_.kick(rank.owned);
-  span_end(comm, spans_.force);
 
   const double ke = md::kinetic_energy(rank.owned);
   const double sums[5] = {result.potential_energy, ke,
@@ -663,10 +480,6 @@ bool SlabMd::check_partition(std::string* error) const {
   }
   if (error) error->clear();
   return true;
-}
-
-std::size_t SlabMd::owned_count(int rank) const {
-  return ranks_.at(rank)->owned.size();
 }
 
 }  // namespace pcmd::ddm

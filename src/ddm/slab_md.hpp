@@ -17,8 +17,6 @@
 // bench/ablation_baseline_1d.
 #pragma once
 
-#include "ddm/engine_config.hpp"
-#include "ddm/fault_tolerance.hpp"
 #include "ddm/wire.hpp"
 #include "md/cell_grid.hpp"
 #include "md/integrator.hpp"
@@ -26,16 +24,13 @@
 #include "md/particle.hpp"
 #include "md/thermostat.hpp"
 #include "sim/comm.hpp"
-#include "sim/reliable.hpp"
 
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
-
-namespace pcmd::obs {
-class TraceCollector;
-}
 
 namespace pcmd::ddm {
 
@@ -50,13 +45,6 @@ struct SlabMdConfig {
   // when the busy-time gap exceeds its own cost, so a shift never
   // overshoots.
   bool shift_enabled = false;
-  // Observability: sub-step spans (drift, shift, migrate, halo, force) in
-  // virtual time; same contract as ParallelMdConfig::trace. Not owned.
-  obs::TraceCollector* trace = nullptr;
-  // Reliable delivery (see FaultToleranceConfig). The slab ring has no
-  // crash recovery — `recovery` is ignored here — but `reliable` masks
-  // transient faults exactly as in ParallelMd.
-  FaultToleranceConfig fault_tolerance;
 };
 
 struct SlabStepStats {
@@ -73,29 +61,16 @@ struct SlabStepStats {
 
 class SlabMd {
  public:
-  // Declarative construction. `setup` names the machine and either the
-  // fresh-start (box, initial) pair or a checkpoint() buffer to resume
-  // from. A resume restores particle order, slab boundaries and busy times
-  // so the continued trajectory is bitwise identical to the uninterrupted
-  // run; the config must describe the same (pe_count, cells) decomposition
-  // (std::runtime_error on a mismatched or corrupted checkpoint).
-  SlabMd(const EngineConfig& setup, const SlabMdConfig& config);
-  // Positional shims forwarding to the EngineConfig constructor, kept so
-  // existing call sites compile unchanged.
+  // Bins `initial` (inside the primary image of `box`) into an even split
+  // of the layers over `config.pe_count` ranks of `engine`, then runs the
+  // first halo exchange and force phase so step() starts with f(t).
+  // std::invalid_argument on a ring under 3 ranks, an engine of another
+  // size, more ranks than layers or a cell edge below the cut-off.
   SlabMd(sim::Engine& engine, const Box& box,
          const md::ParticleVector& initial, const SlabMdConfig& config);
-  SlabMd(sim::Engine& engine, const sim::Buffer& checkpoint,
-         const SlabMdConfig& config);
 
   SlabStepStats step();
   SlabStepStats run(std::int64_t steps);
-
-  std::int64_t step_count() const { return step_count_; }
-  const md::CellGrid& grid() const { return grid_; }
-
-  // Serializes the full engine state (versioned, checksummed; see
-  // md/checkpoint.hpp). Call between steps.
-  sim::Buffer checkpoint() const;
 
   // ---- validation / diagnostics (outside the SPMD model) ----
   md::ParticleVector gather_particles() const;
@@ -104,7 +79,6 @@ class SlabMd {
   // Checks the slab partition: contiguous, covering, >= 1 layer each, and
   // neighbouring views agree on the shared boundary.
   bool check_partition(std::string* error = nullptr) const;
-  std::size_t owned_count(int rank) const;
 
  private:
   struct Rank {
@@ -117,7 +91,6 @@ class SlabMd {
     double busy_accum = 0.0;
     double force_seconds = 0.0;
     int shifts_made = 0;
-    sim::ReliableChannel channel;  // used when fault_tolerance.reliable
     md::ParticleVector with_halo;
     md::CellBins bins;
     md::ForceWorkspace workspace;
@@ -133,37 +106,22 @@ class SlabMd {
   // flat indices of all cells in layers [lo, hi).
   void cells_of_layers(int lo, int hi, std::vector<int>& cells) const;
   double layer_load(const Rank& rank, int layer) const;
+  // Halo exchange shared by construction and phases C/D: send_halo packs
+  // the rank's edge layers to both ring neighbours; receive_halo rebuilds
+  // rank.with_halo from the owned particles and the neighbours' records.
+  void send_halo(sim::Comm& comm, Rank& rank, int tag);
+  void receive_halo(sim::Comm& comm, Rank& rank, int tag);
+  // Forces on the owned layers from rank.with_halo, copied back into
+  // rank.owned; charges the pair and cell cost to the rank's clock and
+  // returns the result with the seconds that actually passed.
+  std::pair<md::ForceResult, double> compute_forces(sim::Comm& comm,
+                                                    Rank& rank);
 
   void phase_a_drift_and_times(sim::Comm& comm);
   void phase_b_shift_and_migrate(sim::Comm& comm);
   void phase_c_absorb_and_halo(sim::Comm& comm);
   void phase_d_forces(sim::Comm& comm);
   void phase_e_finish(sim::Comm& comm);
-
-  // Fault-tolerant transport: all ring traffic funnels through these; with
-  // fault_tolerance.reliable the payload rides the rank's ReliableChannel.
-  void send_to(sim::Comm& comm, Rank& rank, int dst, int tag,
-               sim::Buffer payload);
-  sim::Buffer recv_from(sim::Comm& comm, Rank& rank, int src, int tag);
-  // Shared post-construction work: trace attachment and the initial halo +
-  // force phases. `resume` preserves checkpointed busy times.
-  // Construction paths behind the EngineConfig constructor.
-  void init_fresh(const Box& box, const md::ParticleVector& initial);
-  void init_resume(const sim::Buffer& checkpoint);
-  void finish_construction(bool resume,
-                           const std::vector<double>& resume_last_busy);
-
-  // Span instrumentation (no-ops when config_.trace is null); ids interned
-  // once in the constructor.
-  struct SpanNames {
-    std::uint32_t drift = 0;
-    std::uint32_t shift = 0;
-    std::uint32_t migrate = 0;
-    std::uint32_t halo = 0;
-    std::uint32_t force = 0;
-  };
-  void span_begin(sim::Comm& comm, std::uint32_t name) const;
-  void span_end(sim::Comm& comm, std::uint32_t name) const;
 
   sim::Engine* engine_;
   Box box_;
@@ -172,7 +130,6 @@ class SlabMd {
   md::LennardJones lj_;
   md::VelocityVerlet integrator_;
   std::optional<md::RescaleThermostat> thermostat_;
-  SpanNames spans_;
   std::vector<std::unique_ptr<Rank>> ranks_;
   std::int64_t step_count_ = 0;
 };

@@ -3,7 +3,6 @@
 #include "util/checksum.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <stdexcept>
 
@@ -83,42 +82,6 @@ void check_resumable(const ParticleVector& particles, const Box& box,
                             "position outside the box [0, L]");
     }
   }
-}
-
-void write_checkpoint_file(const std::string& path, const sim::Buffer& data) {
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) {
-    throw CheckpointError("checkpoint: cannot open '" + path +
-                          "' for writing");
-  }
-  const std::size_t written =
-      data.empty() ? 0 : std::fwrite(data.data(), 1, data.size(), file);
-  const bool ok = written == data.size() && std::fclose(file) == 0;
-  if (!ok) {
-    throw CheckpointError("checkpoint: short write to '" + path + "' (" +
-                          std::to_string(written) + " of " +
-                          std::to_string(data.size()) + " bytes)");
-  }
-}
-
-sim::Buffer read_checkpoint_file(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    throw CheckpointError("checkpoint: cannot open '" + path + "'");
-  }
-  sim::Buffer data;
-  std::uint8_t chunk[4096];
-  std::size_t got = 0;
-  while ((got = std::fread(chunk, 1, sizeof(chunk), file)) > 0) {
-    data.insert(data.end(), chunk, chunk + got);
-  }
-  const bool ok = std::feof(file) != 0 && std::ferror(file) == 0;
-  std::fclose(file);
-  if (!ok) {
-    throw CheckpointError("checkpoint: read error on '" + path +
-                          "' at byte " + std::to_string(data.size()));
-  }
-  return data;
 }
 
 sim::Buffer pack_serial_checkpoint(const SerialCheckpoint& state) {

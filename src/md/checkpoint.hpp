@@ -11,8 +11,8 @@
 // particle order, force recomputation, thermostat schedule (a function of
 // the absolute step number) and DLB decisions (functions of the restored
 // busy times) all resume exactly. See ParallelMd::checkpoint / the
-// checkpoint ctor, SlabMd's equivalents, and SerialCheckpoint +
-// SerialMdConfig::initial_step for the serial engine.
+// checkpoint ctor, and SerialCheckpoint + SerialMdConfig::initial_step for
+// the serial engine.
 #pragma once
 
 #include "md/particle.hpp"
@@ -29,9 +29,9 @@ namespace pcmd::md {
 inline constexpr std::uint32_t kCheckpointVersion = 1;
 
 // Every way a checkpoint can fail to load — short envelope, bad magic,
-// version/kind mismatch, checksum failure, truncated or oversized payload,
-// file IO — throws this one typed error, with the failing field (and byte
-// offset, where one is meaningful) in the message. Derives
+// version/kind mismatch, checksum failure, truncated or oversized payload —
+// throws this one typed error, with the failing field (and byte offset,
+// where one is meaningful) in the message. Derives
 // std::runtime_error so existing catch sites keep working; layers above
 // (the serve scheduler in particular) catch the type to classify "stored
 // state is bad" without string-matching.
@@ -44,7 +44,9 @@ class CheckpointError : public std::runtime_error {
 enum class CheckpointKind : std::uint32_t {
   kSerial = 1,
   kParallel = 2,
-  kSlab = 3,
+  // 3 was the retired 1-D slab engine's kind; never reuse it, so a stored
+  // slab checkpoint cannot open as another engine's state.
+
   // Per-role buddy envelope replicated to a torus neighbour every K steps
   // (ddm/recovery.hpp); replayed to restore a dead role losslessly.
   kBuddy = 4,
@@ -68,11 +70,6 @@ sim::Buffer open_checkpoint(CheckpointKind kind, sim::Buffer sealed);
 // path calls this before the particles reach a cell grid.
 void check_resumable(const ParticleVector& particles, const Box& box,
                      const std::string& where);
-
-// Whole-buffer file round-trip (binary). Throws CheckpointError on IO
-// failure.
-void write_checkpoint_file(const std::string& path, const sim::Buffer& data);
-sim::Buffer read_checkpoint_file(const std::string& path);
 
 // Serial engine state. Resume by constructing SerialMd with `particles` and
 // SerialMdConfig::initial_step = `step`; restore the RNG stream (when

@@ -9,7 +9,6 @@
 // util — math, PBC, RNG, statistics, fitting, output helpers
 #include "util/cli.hpp"
 #include "util/least_squares.hpp"
-#include "util/log.hpp"
 #include "util/pbc.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"

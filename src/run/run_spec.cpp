@@ -2,9 +2,25 @@
 
 #include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
 namespace pcmd::run {
+
+namespace {
+// Reads a count or cadence flag, where 0 means off: a negative (or
+// int-overflowing) value throws naming the flag and its token instead of
+// being dropped, clamped or carried into the spec.
+int get_count(const Cli& cli, const std::string& flag, int fallback) {
+  const std::int64_t value = cli.get_int(flag, fallback);
+  if (value < 0 || value > std::numeric_limits<int>::max()) {
+    throw SpecError("--" + flag + ": '" + cli.get(flag, "") +
+                    "' is out of range (expected an integer from 0 to "
+                    "2^31-1)");
+  }
+  return static_cast<int>(value);
+}
+}  // namespace
 
 DegradeSpec DegradeSpec::parse(const std::string& text, double factor) {
   const auto bad = [&](const std::string& token) {
@@ -184,11 +200,10 @@ RunSpec parse_run_spec(const Cli& cli, RunSpec defaults) {
       }
       if (!spec.faults.empty()) spec.fault_tolerance.reliable = true;
     }
-    spec.checkpoint_every = static_cast<int>(
-        cli.get_int("checkpoint-every", spec.checkpoint_every));
-    const int buddy_every =
-        static_cast<int>(cli.get_int("buddy-every", 0));
-    const int spares = static_cast<int>(cli.get_int("spares", 0));
+    spec.checkpoint_every =
+        get_count(cli, "checkpoint-every", spec.checkpoint_every);
+    const int buddy_every = get_count(cli, "buddy-every", 0);
+    const int spares = get_count(cli, "spares", 0);
     if (buddy_every > 0 || spares > 0) {
       spec.fault_tolerance.healing.enabled = true;
       if (buddy_every > 0) {

@@ -118,7 +118,9 @@ struct RunSpec {
 //   --trace PATH
 //
 // A non-empty fault plan switches fault_tolerance.reliable on, matching
-// what every harness did by hand before.
+// what every harness did by hand before. --checkpoint-every, --buddy-every
+// and --spares take counts from 0 (off) up; a negative one throws
+// SpecError naming the flag and the token.
 RunSpec parse_run_spec(const Cli& cli, RunSpec defaults = {});
 
 // Call after the harness has queried its own extra flags: throws

@@ -195,11 +195,12 @@ std::uint64_t family_digest_of_canonical(const std::string& canonical) {
   // exactly once, so this is a digest over the seed-free configuration.
   std::string masked = canonical;
   const std::string flag = "--seed ";
-  const std::size_t at = masked.find(flag);
+  const std::size_t at = canonical.find(flag);
   if (at != std::string::npos) {
-    std::size_t end = at + flag.size();
-    while (end < masked.size() && masked[end] != ' ') ++end;
-    masked.replace(at + flag.size(), end - (at + flag.size()), "0");
+    const std::size_t from = at + flag.size();
+    std::size_t end = from;
+    while (end < canonical.size() && canonical[end] != ' ') ++end;
+    masked = canonical.substr(0, from) + "0" + canonical.substr(end);
   }
   std::uint64_t hash = 14695981039346656037ULL;
   for (const char c : masked) {

@@ -111,10 +111,9 @@ AttemptResult run_attempt(const JobSpec& job, const AttemptContext& context) {
     partial.virtual_seconds = context.resume->virtual_seconds;
   }
   try {
-    const auto& ft = job.run.fault_tolerance;
-    const int ranks =
-        job.run.system.pe_count + (ft.healing.enabled ? ft.healing.spares : 0);
-    const auto engine = make_engine(job.engine, ranks, job.run.machine);
+    const ddm::ParallelMdConfig config = job.run.parallel_config();
+    const auto engine = make_engine(job.engine, ddm::engine_rank_count(config),
+                                    job.run.machine);
 
     const sim::FaultPlan plan = attempt_fault_plan(job, context.attempt);
     std::optional<sim::FaultInjector> injector;
@@ -126,7 +125,7 @@ AttemptResult run_attempt(const JobSpec& job, const AttemptContext& context) {
     std::unique_ptr<ddm::ParallelMd> pmd;
     if (context.resume) {
       pmd = std::make_unique<ddm::ParallelMd>(
-          *engine, context.resume->checkpoint, job.run.parallel_config());
+          *engine, context.resume->checkpoint, config);
       // The restore scatter above advanced the fresh engine's clocks; put
       // back the exact skew the job was suspended with so every subsequent
       // t_step matches an uninterrupted run bitwise.
@@ -135,7 +134,7 @@ AttemptResult run_attempt(const JobSpec& job, const AttemptContext& context) {
       Rng rng(job.run.system.seed);
       const auto initial = workload::make_paper_system(job.run.system, rng);
       pmd = std::make_unique<ddm::ParallelMd>(
-          *engine, job.run.system.box(), initial, job.run.parallel_config());
+          *engine, job.run.system.box(), initial, config);
     }
 
     AttemptResult result = partial;

@@ -122,15 +122,6 @@ MdTrajectoryResult run_md_trajectory(const MdTrajectoryConfig& config) {
   pcmd::Rng rng(config.spec.seed);
   const auto initial = workload::make_paper_system(config.spec, rng);
 
-  sim::SeqEngine engine(config.spec.pe_count, config.machine);
-  if (config.trace) {
-    engine.set_trace_sink(config.trace);
-  }
-  std::optional<sim::FaultInjector> injector;
-  if (!config.faults.empty()) {
-    injector.emplace(config.faults);
-    engine.set_fault_injector(&*injector);
-  }
   ddm::ParallelMdConfig pmd_config;
   pmd_config.pe_side = config.spec.pe_side();
   pmd_config.m = config.spec.m;
@@ -144,6 +135,15 @@ MdTrajectoryResult run_md_trajectory(const MdTrajectoryConfig& config) {
   pmd_config.trace = config.trace;
   pmd_config.fault_tolerance = config.fault_tolerance;
 
+  sim::SeqEngine engine(ddm::engine_rank_count(pmd_config), config.machine);
+  if (config.trace) {
+    engine.set_trace_sink(config.trace);
+  }
+  std::optional<sim::FaultInjector> injector;
+  if (!config.faults.empty()) {
+    injector.emplace(config.faults);
+    engine.set_fault_injector(&*injector);
+  }
   ddm::ParallelMd pmd(engine, config.spec.box(), initial, pmd_config);
   // Baseline the counter deltas after the constructor's initial force
   // phase, so row 0 covers exactly step 1.
@@ -162,6 +162,7 @@ MdTrajectoryResult run_md_trajectory(const MdTrajectoryConfig& config) {
     result.concentration.push_back(
         estimate_concentration(stats, pmd.total_cells()));
     result.transfers_total += stats.transfers;
+    result.final_particles = stats.total_particles;
 
     obs::MetricsRecorder::StepInput input;
     input.step = stats.step;

@@ -119,6 +119,7 @@ struct MdTrajectoryResult {
   std::vector<obs::StepMetrics> metrics;
   int transfers_total = 0;
   std::int64_t particles = 0;
+  std::int64_t final_particles = 0;  // the engine's count after the last step
   int total_cells = 0;
   // Fault-tolerance accounting over the whole run:
   std::uint64_t retransmissions_total = 0;

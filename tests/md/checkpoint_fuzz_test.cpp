@@ -2,16 +2,14 @@
 // ddm/wire_property_test.cpp: exact round-trips, then systematic corruption
 // (truncation at every length, trailing bytes, every single-byte flip,
 // kind confusion, field-level lies) against the buddy envelope and the
-// serial checkpoint, plus re-sealed ParallelMd, SlabMd and serial
-// checkpoints whose CRC passes but whose state is invalid. The contract
-// under test: every corruption throws std::runtime_error *before* any
-// caller state is touched — decode returns a fully validated value or
-// nothing.
+// serial checkpoint, plus re-sealed ParallelMd and serial checkpoints whose
+// CRC passes but whose state is invalid. The contract under test: every
+// corruption throws std::runtime_error *before* any caller state is
+// touched — decode returns a fully validated value or nothing.
 #include "md/checkpoint.hpp"
 
 #include "ddm/parallel_md.hpp"
 #include "ddm/recovery.hpp"
-#include "ddm/slab_md.hpp"
 #include "md/serial_md.hpp"
 #include "sim/message.hpp"
 #include "util/rng.hpp"
@@ -409,81 +407,6 @@ TEST(CheckpointFuzz, ParallelResumeAcceptsParticlesOnTheUpperBoxFace) {
   for (int i = 0; i < 3; ++i) EXPECT_EQ(pmd.step().total_particles, 200);
 }
 
-// SlabMd::checkpoint()'s payload, field by field, for the same purpose as
-// ParallelState.
-struct SlabRankState {
-  md::ParticleVector owned;
-  std::int32_t lo = 0;
-  std::int32_t hi = 0;
-  double last_busy = 0.0;
-  double force_seconds = 0.0;
-};
-
-struct SlabState {
-  std::int32_t pe_count = 0;
-  std::int32_t layers = 0;
-  std::int64_t step = 0;
-  Box box;
-  std::vector<SlabRankState> ranks;
-};
-
-SlabState open_slab(const sim::Buffer& sealed) {
-  sim::Unpacker unpacker(
-      md::open_checkpoint(md::CheckpointKind::kSlab, sealed));
-  SlabState state;
-  state.pe_count = unpacker.get<std::int32_t>();
-  state.layers = unpacker.get<std::int32_t>();
-  state.step = unpacker.get<std::int64_t>();
-  state.box = unpacker.get<Box>();
-  state.ranks.resize(static_cast<std::size_t>(state.pe_count));
-  for (auto& rank : state.ranks) {
-    rank.owned = unpacker.get_vector<md::Particle>();
-    rank.lo = unpacker.get<std::int32_t>();
-    rank.hi = unpacker.get<std::int32_t>();
-    rank.last_busy = unpacker.get<double>();
-    rank.force_seconds = unpacker.get<double>();
-  }
-  EXPECT_TRUE(unpacker.exhausted());
-  return state;
-}
-
-sim::Buffer seal_slab(const SlabState& state) {
-  sim::Packer packer;
-  packer.put(state.pe_count);
-  packer.put(state.layers);
-  packer.put(state.step);
-  packer.put(state.box);
-  for (const auto& rank : state.ranks) {
-    packer.put_vector(rank.owned);
-    packer.put(rank.lo);
-    packer.put(rank.hi);
-    packer.put(rank.last_busy);
-    packer.put(rank.force_seconds);
-  }
-  return md::seal_checkpoint(md::CheckpointKind::kSlab, packer.take());
-}
-
-ddm::SlabMdConfig slab_resume_config() {
-  ddm::SlabMdConfig config;
-  config.pe_count = 3;  // 6 layers of 2.5 in the 15-box: 2 per rank
-  config.cutoff = 2.5;
-  config.dt = 0.004;
-  config.shift_enabled = true;
-  return config;
-}
-
-SlabState slab_state_after_one_step() {
-  sim::SeqEngine engine(3);
-  ddm::SlabMd slab(engine, Box::cubic(15.0), resume_gas(),
-                   slab_resume_config());
-  slab.step();
-  const SlabState state = open_slab(slab.checkpoint());
-  sim::SeqEngine fresh(3);
-  ddm::SlabMd resumed(fresh, seal_slab(state), slab_resume_config());
-  resumed.step();
-  return state;
-}
-
 md::SerialCheckpoint serial_state_after_one_step() {
   md::SerialMd serial(Box::cubic(15.0), resume_gas(), md::SerialMdConfig{});
   serial.step();
@@ -492,21 +415,6 @@ md::SerialCheckpoint serial_state_after_one_step() {
   state.box = serial.box();
   state.particles = serial.particles();
   return state;
-}
-
-TEST(CheckpointFuzz, SlabResumeRejectsNonFiniteOrOutOfBoxParticles) {
-  const SlabState good = slab_state_after_one_step();
-  for (const auto& edit : bad_particle_edits(good.box.length.x)) {
-    SlabState bad = good;
-    md::Particle& particle = bad.ranks[1].owned.front();
-    edit(particle);
-    expect_rejected(
-        [&] {
-          sim::SeqEngine engine(3);
-          ddm::SlabMd slab(engine, seal_slab(bad), slab_resume_config());
-        },
-        {"SlabMd", "rank 1", "particle id " + std::to_string(particle.id)});
-  }
 }
 
 TEST(CheckpointFuzz, SerialResumeRejectsNonFiniteOrOutOfBoxParticles) {
@@ -523,18 +431,11 @@ TEST(CheckpointFuzz, SerialResumeRejectsNonFiniteOrOutOfBoxParticles) {
   }
 }
 
-TEST(CheckpointFuzz, SlabAndSerialResumeAcceptParticlesOnTheUpperBoxFace) {
+TEST(CheckpointFuzz, SerialResumeAcceptsParticlesOnTheUpperBoxFace) {
   // The closed box of ParallelResumeAcceptsParticlesOnTheUpperBoxFace holds
-  // for the other two resume paths.
-  SlabState slab_state = slab_state_after_one_step();
-  const double edge = slab_state.box.length.x;
-  ASSERT_TRUE(move_onto_upper_face(slab_state.ranks[2].owned, edge, 2.5));
-  sim::SeqEngine engine(3);
-  ddm::SlabMd slab(engine, seal_slab(slab_state), slab_resume_config());
-  for (int i = 0; i < 3; ++i) EXPECT_EQ(slab.step().total_particles, 200);
-  EXPECT_TRUE(slab.check_partition());
-
+  // for the serial resume path too.
   md::SerialCheckpoint serial_state = serial_state_after_one_step();
+  const double edge = serial_state.box.length.x;
   ASSERT_TRUE(move_onto_upper_face(serial_state.particles, edge, 2.5));
   const md::SerialCheckpoint restored =
       md::unpack_serial_checkpoint(md::pack_serial_checkpoint(serial_state));

@@ -1,15 +1,21 @@
 // Golden regression battery: a short, fully deterministic ParallelMd run
 // (DLB on, fixed seed) checked against committed golden values for the
 // physics (total energy), the virtual-machine makespan, and the load-balance
-// spread. The run is bitwise reproducible on both engines (see the engine
-// parity suite), so any drift here means an intentional behaviour change —
-// regenerate the goldens by running with --gtest_filter='*PrintActuals*'
-// after convincing yourself the change is correct.
+// spread, plus the same kind of pin on the 1-D SlabMd baseline (virtual
+// time, energy, boundary shifts and wire traffic). The runs are bitwise
+// reproducible on both engines (see the engine parity suite), so any drift
+// here means an intentional behaviour change — regenerate the goldens by
+// running with --gtest_filter='*PrintActuals*' after convincing yourself
+// the change is correct.
+#include "ddm/slab_md.hpp"
 #include "obs/metrics.hpp"
+#include "support/test_workloads.hpp"
 #include "theory/effective_range.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdint>
 #include <cstdio>
 #include <numeric>
 
@@ -115,6 +121,81 @@ TEST(GoldenMd, DISABLED_PrintActuals) {
               s.final_total_energy);
   std::printf("constexpr double kGoldenMakespan = %.17g;\n", s.makespan);
   std::printf("constexpr double kGoldenMeanSpread = %.17g;\n", s.mean_spread);
+}
+
+// ---- SlabMd, the 1-D boundary-shift baseline ----
+
+// 800 lattice particles, 80% of them in the lowest 30% of a 20-box: a load
+// concentrated on the ring's first slabs, so shifting has work to do.
+// P = 4 ranks over 8 layers of edge 2.5, 60 steps.
+struct SlabSummary {
+  double makespan = 0.0;            // sum of per-step t_step
+  double final_total_energy = 0.0;  // PE + KE after the last step
+  int shifts = 0;                   // layers moved over the run
+  std::uint64_t messages = 0;       // engine total over ranks, incl. setup
+  std::uint64_t bytes = 0;
+};
+
+SlabSummary run_golden_slab(bool shift) {
+  const Box box = Box::cubic(20.0);
+  ddm::SlabMdConfig config;
+  config.pe_count = 4;
+  config.cells_per_axis = 8;
+  config.dt = 0.004;
+  config.shift_enabled = shift;
+  sim::SeqEngine engine(config.pe_count);
+  ddm::SlabMd slab(engine, box,
+                   pcmd::testing::concentrated_lattice(800, box, 0.8, 0.3),
+                   config);
+  SlabSummary s;
+  ddm::SlabStepStats stats;
+  for (int i = 0; i < 60; ++i) {
+    stats = slab.step();
+    s.makespan += stats.t_step;
+    s.shifts += stats.shifts;
+  }
+  s.final_total_energy = stats.potential_energy + stats.kinetic_energy;
+  for (int r = 0; r < engine.size(); ++r) {
+    s.messages += engine.counters(r).messages_sent;
+    s.bytes += engine.counters(r).bytes_sent;
+  }
+  return s;
+}
+
+// Committed goldens for run_golden_slab(), with shifting and without.
+// Doubles take GoldenMd's relative tolerance; counts must match exactly.
+constexpr SlabSummary kGoldenSlabShift{3.145683680000007, -1009.1709855569201,
+                                       4, 1928, 2694096};
+constexpr SlabSummary kGoldenSlabStatic{5.2462608000000142, -1009.170985556921,
+                                        0, 1928, 1607808};
+
+void expect_slab_summary(const SlabSummary& actual, const SlabSummary& golden) {
+  expect_near_rel(actual.makespan, golden.makespan, "slab makespan");
+  expect_near_rel(actual.final_total_energy, golden.final_total_energy,
+                  "slab total energy");
+  EXPECT_EQ(actual.shifts, golden.shifts);
+  EXPECT_EQ(actual.messages, golden.messages);
+  EXPECT_EQ(actual.bytes, golden.bytes);
+}
+
+TEST(GoldenSlab, ShiftingRunMatchesCommittedGoldens) {
+  expect_slab_summary(run_golden_slab(true), kGoldenSlabShift);
+}
+
+TEST(GoldenSlab, StaticRunMatchesCommittedGoldens) {
+  expect_slab_summary(run_golden_slab(false), kGoldenSlabStatic);
+}
+
+// Disabled by default, like GoldenMd.DISABLED_PrintActuals: prints both
+// summaries in golden-constant form.
+TEST(GoldenSlab, DISABLED_PrintActuals) {
+  for (const bool shift : {true, false}) {
+    const SlabSummary s = run_golden_slab(shift);
+    std::printf("constexpr SlabSummary %s{%.17g, %.17g, %d, %" PRIu64
+                ", %" PRIu64 "};\n",
+                shift ? "kGoldenSlabShift" : "kGoldenSlabStatic", s.makespan,
+                s.final_total_energy, s.shifts, s.messages, s.bytes);
+  }
 }
 
 }  // namespace

@@ -151,6 +151,26 @@ TEST(RunSpecParser, CheckpointAndHealingFlags) {
   EXPECT_EQ(spares_only.fault_tolerance.healing.spares, 2);
 }
 
+// Accepting a negative count would change behaviour silently: --spares
+// would turn healing on with a negative spare pool, --buddy-every would be
+// dropped so healing stays off, and --checkpoint-every would give the
+// canonical job text a second spelling of "off".
+TEST(RunSpecParser, NegativeSparesRejected) {
+  expect_rejected(
+      [] { (void)parse({"--spares", "-2", "--buddy-every", "5"}); },
+      {"--spares", "'-2'"});
+}
+
+TEST(RunSpecParser, NegativeBuddyEveryRejected) {
+  expect_rejected([] { (void)parse({"--buddy-every", "-3"}); },
+                  {"--buddy-every", "'-3'"});
+}
+
+TEST(RunSpecParser, NegativeCheckpointEveryRejected) {
+  expect_rejected([] { (void)parse({"--checkpoint-every", "-4"}); },
+                  {"--checkpoint-every", "'-4'"});
+}
+
 TEST(RunSpecParser, DegradeSpecWithDefaultAndExplicitFactor) {
   const auto spec = parse({"--degrade", "rank=4,at=0.05"});
   ASSERT_TRUE(spec.degrade.has_value());

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <utility>
 
 namespace pcmd::serve {
 namespace {
@@ -75,6 +77,26 @@ TEST(JobSpec, PriorityDoesNotChangeTheDigestButPhysicsDoes) {
             JobSpec::parse(base + " --deadline 1.0").digest());
   EXPECT_NE(normal.digest(),
             JobSpec::parse("--pe 9 --m 2 --steps 10 --seed 4").digest());
+}
+
+TEST(JobSpec, FamilyDigestBytesArePinned) {
+  // The circuit breaker keys families by this digest in the store, so its
+  // value for a given text must never drift. Includes the edge cases of the
+  // "--seed <n>" mask: an empty seed token, a double space (the mask
+  // inserts "0" before it) and a repeated flag (only the first is masked).
+  const std::pair<const char*, std::uint64_t> pinned[] = {
+      {"", 0xcbf29ce484222325ULL},
+      {"--seed ", 0x9e805178b78aec62ULL},
+      {"--seed 42", 0x9e805178b78aec62ULL},
+      {"--pe 9 --seed 12345 --steps 5", 0x3295c0448e443accULL},
+      {"--pe 9 --m 2", 0x98ce26a845366204ULL},
+      {"x --seed  7", 0x58018a2f2f8a6683ULL},
+      {"--seed 1 --seed 2", 0x09d5fffd37d34eb3ULL},
+  };
+  for (const auto& [canonical, digest] : pinned) {
+    EXPECT_EQ(family_digest_of_canonical(canonical), digest)
+        << "'" << canonical << "'";
+  }
 }
 
 TEST(JobSpec, PreemptibleOnlyWhenProvablyResumeInvariant) {

@@ -9,7 +9,6 @@
 //       and a permanent crash degrades gracefully (survivors adopt the dead
 //       rank's permanent cells and keep stepping).
 #include "ddm/parallel_md.hpp"
-#include "ddm/slab_md.hpp"
 #include "md/checkpoint.hpp"
 #include "md/serial_md.hpp"
 #include "sim/fault.hpp"
@@ -311,14 +310,6 @@ TEST(Chaos, CheckpointRejectsCorruptionAndWrongEngine) {
     sim::SeqEngine fresh(9);
     EXPECT_THROW(ParallelMd(fresh, bad, chaos_config()), std::runtime_error);
   }
-  // A parallel checkpoint cannot resurrect a slab engine (kind mismatch).
-  {
-    sim::SeqEngine fresh(4);
-    SlabMdConfig slab;
-    slab.pe_count = 4;
-    slab.cells_per_axis = 6;
-    EXPECT_THROW(SlabMd(fresh, good, slab), std::runtime_error);
-  }
   // A mismatched decomposition is rejected before any state is restored.
   {
     sim::SeqEngine fresh(9);
@@ -326,46 +317,6 @@ TEST(Chaos, CheckpointRejectsCorruptionAndWrongEngine) {
     wrong.m = 4;
     EXPECT_THROW(ParallelMd(fresh, good, wrong), std::runtime_error);
   }
-}
-
-TEST(Chaos, SlabCheckpointKillRestartIsBitwiseIdentical) {
-  SlabMdConfig config;
-  config.pe_count = 4;
-  config.cells_per_axis = 6;
-  config.cutoff = 2.5;
-  config.dt = 0.004;
-  config.rescale_temperature = 0.722;
-  config.rescale_interval = 10;
-  config.shift_enabled = true;
-  constexpr int kTotalSteps = 24;
-  constexpr int kKillAfter = 9;
-
-  sim::SeqEngine ref_engine(4);
-  SlabMd reference(ref_engine, chaos_box(), chaos_gas(250, 5), config);
-  std::vector<SlabStepStats> ref_stats;
-  for (int i = 0; i < kTotalSteps; ++i) ref_stats.push_back(reference.step());
-
-  sim::Buffer snapshot;
-  {
-    sim::SeqEngine engine(4);
-    SlabMd md(engine, chaos_box(), chaos_gas(250, 5), config);
-    for (int i = 0; i < kKillAfter; ++i) md.step();
-    snapshot = md.checkpoint();
-  }
-
-  sim::SeqEngine resumed_engine(4);
-  SlabMd resumed(resumed_engine, snapshot, config);
-  EXPECT_EQ(resumed.step_count(), kKillAfter);
-  for (int i = kKillAfter; i < kTotalSteps; ++i) {
-    const auto stats = resumed.step();
-    EXPECT_EQ(stats.potential_energy, ref_stats[i].potential_energy)
-        << "diverged at step " << i;
-    EXPECT_EQ(stats.kinetic_energy, ref_stats[i].kinetic_energy);
-    EXPECT_EQ(stats.shifts, ref_stats[i].shifts);
-  }
-  expect_particles_bitwise(reference.gather_particles(),
-                           resumed.gather_particles(), "slab restart");
-  EXPECT_TRUE(resumed.check_partition());
 }
 
 TEST(Chaos, SerialCheckpointRoundTripsAndResumesBitwise) {

@@ -106,6 +106,28 @@ TEST(RunMdTrajectory, SmallSmoke) {
   }
 }
 
+TEST(RunMdTrajectory, SelfHealingRunsOnItsSpareRank) {
+  // The engine must hold the spare pool on top of the P roles, or
+  // ParallelMd rejects its rank count. Rank 4 dies in step 3, after the
+  // first buddy replication, so the spare takes over its role and the
+  // buddy copy brings back its particles.
+  MdTrajectoryConfig config;
+  config.spec.pe_count = 9;
+  config.spec.m = 2;
+  config.spec.density = 0.256;
+  config.spec.seed = 5;
+  config.steps = 6;
+  config.faults = sim::FaultPlan::parse("seed=1,crash=4@0.05");
+  config.fault_tolerance.reliable = true;
+  config.fault_tolerance.healing.enabled = true;
+  config.fault_tolerance.healing.buddy_every = 2;
+  config.fault_tolerance.healing.spares = 1;
+  const auto result = run_md_trajectory(config);
+  EXPECT_EQ(result.t_step.size(), 6u);
+  EXPECT_EQ(result.failovers_total, 1u);
+  EXPECT_EQ(result.final_particles, result.particles);
+}
+
 TEST(RunMdTrajectory, DlbOverheadBoundedOnBalancedGas) {
   // Over a short horizon the supercooled gas is still near-uniform, so DLB
   // can only add overhead (messages plus one-column granularity churn — the
