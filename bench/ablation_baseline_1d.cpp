@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   pillar_config.m = spec.m;
   pillar_config.dt = spec.dt;
   pillar_config.rescale_temperature = spec.temperature;
-  pillar_config.dlb_enabled = true;
+  pillar_config.balancer.kind = ddm::BalancerKind::kPermanent;
   ddm::ParallelMd pillar(pillar_engine, spec.box(), initial, pillar_config);
 
   // Slab ring, static and shifting.

@@ -171,7 +171,6 @@ BakeResult run_bakeoff(ddm::BalancerKind kind, const std::string& shape,
   config.m = 2;
   config.cutoff = 2.5;
   config.dt = 0.004;
-  config.dlb_enabled = true;
   config.dlb.fallback_to_helpable = true;
   config.balancer.kind = kind;
   const Box box = Box::cubic(config.pe_side * config.m * config.cutoff);
@@ -340,7 +339,7 @@ int main(int argc, char** argv) {
   std::puts("\nno-DLB baseline:");
   {
     auto config = base_config(cli);
-    config.dlb_enabled = false;
+    config.balancer = ddm::BalancerKind::kNone;
     const auto outcome = evaluate(config);
     std::printf("  mean spread %.3f, late spread %.3f, transfers %d\n",
                 outcome.mean_spread, outcome.late_spread, outcome.transfers);

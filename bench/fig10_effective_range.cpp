@@ -11,6 +11,7 @@
 //   ./fig10_effective_range [--pe-side 6] [--steps 500] [--reps 3]
 //                           [--full-md]
 
+#include "run/trajectory.hpp"
 #include "theory/bounds.hpp"
 #include "theory/effective_range.hpp"
 #include "util/cli.hpp"
@@ -84,16 +85,15 @@ int main(int argc, char** argv) {
     std::puts("== full-MD validation (one run per density, m = 2, 9 PEs) ==");
     Table table({"rho*", "boundary step", "n", "C0/C", "E/T"});
     for (const double density : {0.128, 0.256, 0.384, 0.512}) {
-      theory::MdTrajectoryConfig config;
-      config.spec.pe_count = 9;
-      config.spec.m = 2;
-      config.spec.density = density;
-      config.spec.seed = 11;
-      config.steps = static_cast<int>(cli.get_int("md-steps", 4000));
-      config.dlb_enabled = true;
-      const auto run = run_md_trajectory(config);
+      const auto spec = run::RunSpec{}
+                            .with_pe_count(9)
+                            .with_m(2)
+                            .with_density(density)
+                            .with_seed(11)
+                            .with_steps(cli.get_int("md-steps", 4000));
+      const auto run = run::run_md_trajectory(spec);
       const auto point = theory::extract_boundary_point(
-          run.f_max, run.f_min, run.f_avg, run.concentration, config.spec.m);
+          run.f_max, run.f_min, run.f_avg, run.concentration, spec.system.m);
       if (point.found) {
         table.add_row({Table::num(density, 3), std::to_string(point.step),
                        Table::num(point.n, 3), Table::num(point.c0_ratio, 4),

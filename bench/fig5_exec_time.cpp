@@ -30,7 +30,7 @@
 #include "obs/collector.hpp"
 #include "obs/metrics.hpp"
 #include "run/run_spec.hpp"
-#include "theory/effective_range.hpp"
+#include "run/trajectory.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
@@ -59,19 +59,19 @@ void export_run(const std::string& base, obs::TraceCollector& collector,
 }
 
 // Runs the case's DDM and DLB-DDM trajectories. `suffix` distinguishes the
-// per-case trace sinks (PATH.m4.ddm.json, ...).
+// per-case trace sinks (PATH.m4.ddm.json, ...). The DLB-DDM side runs the
+// spec's policy; a spec that names none (--balancer none, --dlb 0) keeps
+// the paper's there, since the DDM side already is that run.
 CaseResult run_case(const run::RunSpec& spec, const std::string& suffix) {
-  auto config = spec.trajectory_config();
-
   obs::TraceCollector collector;
-  if (spec.trace_path) config.trace = &collector;
+  obs::TraceCollector* trace = spec.trace_path ? &collector : nullptr;
   const auto trace_base =
       spec.trace_path ? std::optional(*spec.trace_path + suffix)
                       : std::nullopt;
 
   auto report_ft = [&](const char* label,
-                       const theory::MdTrajectoryResult& run) {
-    if (!config.faults.empty()) {
+                       const run::MdTrajectoryResult& run) {
+    if (!spec.fault_plan().empty()) {
       std::printf("  [%s] retransmissions %llu, recv timeouts %llu\n", label,
                   static_cast<unsigned long long>(run.retransmissions_total),
                   static_cast<unsigned long long>(run.recv_timeouts_total));
@@ -83,16 +83,19 @@ CaseResult run_case(const run::RunSpec& spec, const std::string& suffix) {
   };
 
   CaseResult result;
-  config.dlb_enabled = false;
   {
-    const auto run = run_md_trajectory(config);
+    const auto run = run::run_md_trajectory(
+        run::RunSpec(spec).with_balancer(ddm::BalancerKind::kNone), trace);
     result.ddm = run.metrics;
     report_ft("ddm", run);
   }
   if (trace_base) export_run(*trace_base + ".ddm", collector, result.ddm);
-  config.dlb_enabled = true;
+  run::RunSpec dlb = spec;
+  if (dlb.balancer.kind == ddm::BalancerKind::kNone) {
+    dlb.with_balancer(ddm::BalancerKind::kPermanent);
+  }
   {
-    const auto run = run_md_trajectory(config);
+    const auto run = run::run_md_trajectory(dlb, trace);
     result.dlb = run.metrics;
     report_ft("dlb", run);
   }

@@ -27,7 +27,7 @@
 #include "obs/collector.hpp"
 #include "obs/metrics.hpp"
 #include "run/run_spec.hpp"
-#include "theory/effective_range.hpp"
+#include "run/trajectory.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
@@ -93,36 +93,39 @@ int main(int argc, char** argv) {
       static_cast<int>(cli.get_int("interval", std::max(1, steps / 12)));
   run::require_all_flags_consumed(cli, "fig6_force_breakdown");
 
-  auto config = spec.trajectory_config();
   const auto& trace = spec.trace_path;
-
   obs::TraceCollector collector;
-  if (trace) config.trace = &collector;
+  obs::TraceCollector* sink = trace ? &collector : nullptr;
 
   std::printf("== Figure 6: Tt and Fmax/Fave/Fmin, m = 4, %d virtual PEs "
               "(T3E cost model) ==\n\n",
-              config.spec.pe_count);
+              spec.system.pe_count);
 
-  config.dlb_enabled = false;
-  const auto ddm = run_md_trajectory(config);
+  const auto ddm = run::run_md_trajectory(
+      run::RunSpec(spec).with_balancer(ddm::BalancerKind::kNone), sink);
   print_breakdown("(a) DDM — the Fmax/Fmin gap widens with condensation",
                   ddm.metrics, interval);
   if (trace) export_run(*trace + ".ddm", collector, ddm.metrics);
 
-  config.dlb_enabled = true;
-  const auto dlb = run_md_trajectory(config);
+  // The DLB-DDM side runs the spec's policy; a spec that names none keeps
+  // the paper's there, since the DDM side already is that run.
+  run::RunSpec dlb_spec = spec;
+  if (dlb_spec.balancer.kind == ddm::BalancerKind::kNone) {
+    dlb_spec.with_balancer(ddm::BalancerKind::kPermanent);
+  }
+  const auto dlb = run::run_md_trajectory(dlb_spec, sink);
   print_breakdown("(b) DLB-DDM — the gap stays small inside the DLB limit",
                   dlb.metrics, interval);
   if (trace) export_run(*trace + ".dlb", collector, dlb.metrics);
 
-  if (!config.faults.empty()) {
+  if (!spec.fault_plan().empty()) {
     std::printf("fault tolerance: DDM %llu retransmissions, DLB-DDM %llu "
                 "retransmissions (all masked; energies identical to a "
                 "fault-free run)\n",
                 static_cast<unsigned long long>(ddm.retransmissions_total),
                 static_cast<unsigned long long>(dlb.retransmissions_total));
   }
-  if (config.checkpoint_every > 0) {
+  if (spec.checkpoint_every > 0) {
     std::printf("checkpoints: %d taken per run, last %zu bytes\n",
                 dlb.checkpoints_taken, dlb.last_checkpoint.size());
   }

@@ -9,6 +9,7 @@
 //   ./fig9_trajectory [--steps 1500] [--interval 100] [--density 0.384]
 //                     [--m 3] [--seed 2] [--full]
 
+#include "run/trajectory.hpp"
 #include "theory/bounds.hpp"
 #include "theory/effective_range.hpp"
 #include "util/cli.hpp"
@@ -26,19 +27,19 @@ int main(int argc, char** argv) {
   const int interval =
       static_cast<int>(cli.get_int("interval", std::max(1, steps / 15)));
 
-  theory::MdTrajectoryConfig config;
-  config.spec.pe_count = full ? 36 : 9;
-  config.spec.m = static_cast<int>(cli.get_int("m", 3));
-  config.spec.density = cli.get_double("density", 0.384);
-  config.spec.seed = static_cast<std::uint64_t>(cli.get_int("seed", 2));
-  config.steps = steps;
-  config.dlb_enabled = true;
+  run::RunSpec spec;
+  spec.with_pe_count(full ? 36 : 9)
+      .with_m(static_cast<int>(cli.get_int("m", 3)))
+      .with_density(cli.get_double("density", 0.384))
+      .with_seed(static_cast<std::uint64_t>(cli.get_int("seed", 2)))
+      .with_steps(steps);
+  const workload::PaperSystemSpec& system = spec.system;
 
   std::printf("== Figure 9: (n, C0/C) trajectory of one DLB-DDM run "
               "(%d PEs, m=%d, rho*=%.3f) ==\n\n",
-              config.spec.pe_count, config.spec.m, config.spec.density);
+              system.pe_count, system.m, system.density);
 
-  const auto result = run_md_trajectory(config);
+  const auto result = run::run_md_trajectory(spec);
 
   Table table({"step", "n", "C0/C", "f(m,n) bound", "(Fmax-Fmin)/Fave"});
   for (int hi = interval; hi <= steps; hi += interval) {
@@ -55,19 +56,19 @@ int main(int argc, char** argv) {
     c0c *= inv;
     spread *= inv;
     table.add_row({std::to_string(hi), Table::num(n, 4), Table::num(c0c, 4),
-                   Table::num(theory::upper_bound(config.spec.m, n), 4),
+                   Table::num(theory::upper_bound(system.m, n), 4),
                    Table::num(spread, 3)});
   }
   table.print(std::cout);
 
   const auto point = theory::extract_boundary_point(
       result.f_max, result.f_min, result.f_avg, result.concentration,
-      config.spec.m);
+      system.m);
   if (point.found) {
     std::printf("\nexperimental boundary point: step %lld, n = %.3f, "
                 "C0/C = %.4f (theory bound f(m,n) = %.4f, E/T = %.2f)\n",
                 static_cast<long long>(point.step), point.n, point.c0_ratio,
-                theory::upper_bound(config.spec.m, point.n),
+                theory::upper_bound(system.m, point.n),
                 point.ratio_to_theory);
   } else {
     std::puts("\nno boundary point inside this run: the trajectory stayed "

@@ -117,7 +117,6 @@ int main(int argc, char** argv) {
   defaults.system.density = 0.384;
   defaults.system.seed = 1;
   defaults.steps = 60;
-  defaults.dlb_enabled = true;
   const auto spec = run::parse_run_spec(cli, defaults);
   const int repeats =
       static_cast<int>(cli.get_int("repeats", 3));

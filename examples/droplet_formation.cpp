@@ -46,11 +46,9 @@ int main(int argc, char** argv) {
 
   sim::SeqEngine ddm_engine(spec.pe_count);
   sim::SeqEngine dlb_engine(spec.pe_count);
-  auto ddm_config = base;
-  ddm_config.dlb_enabled = false;
   auto dlb_config = base;
-  dlb_config.dlb_enabled = true;
-  ddm::ParallelMd ddm_md(ddm_engine, spec.box(), initial, ddm_config);
+  dlb_config.balancer.kind = ddm::BalancerKind::kPermanent;
+  ddm::ParallelMd ddm_md(ddm_engine, spec.box(), initial, base);
   ddm::ParallelMd dlb_md(dlb_engine, spec.box(), initial, dlb_config);
 
   Table table({"step", "largest cluster", "clusters", "empty cells",

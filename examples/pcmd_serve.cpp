@@ -77,15 +77,20 @@ std::vector<Submission> make_queue(int jobs) {
                  " --faults seed=" + std::to_string(seed) + ",drop=0.45";
         s.category = Category::kChaos;
         break;
-      case 7:
-        if (i % 20 == 7) {
-          s.text = "--seed " + std::to_string(seed) + " --steps banana";
-        } else {
-          s.text = "{\"seed\": " + std::to_string(seed) +
-                   ", \"no-such-flag\": true}";
-        }
+      case 7: {
+        // Four malformed shapes in turn, each unique to its job. The last
+        // two, a negative seed and an --m past int range, used to wrap into
+        // runnable specs.
+        const std::string id = std::to_string(seed);
+        const std::string shapes[] = {
+            "--seed " + id + " --steps banana",
+            "{\"seed\": " + id + ", \"no-such-flag\": true}",
+            "--pe 9 --m 2 --steps 3 --seed -" + id,
+            "--pe 9 --m 4294967298 --steps 3 --seed " + id};
+        s.text = shapes[i / 10 % 4];
         s.category = Category::kMalformed;
         break;
+      }
       case 8:
         // Rank 4 dies at virtual t=0, before the first buddy generation
         // exists: the watchdog cannot heal this, every attempt fails the

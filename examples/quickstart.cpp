@@ -51,7 +51,8 @@ int main(int argc, char** argv) {
   config.dt = spec.dt;
   config.rescale_temperature = spec.temperature;
   config.rescale_interval = spec.rescale_interval;
-  config.dlb_enabled = dlb;
+  config.balancer.kind =
+      dlb ? ddm::BalancerKind::kPermanent : ddm::BalancerKind::kNone;
   ddm::ParallelMd md(engine, spec.box(), initial, config);
 
   // 4. Run, reporting every 50 steps.

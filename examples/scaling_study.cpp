@@ -25,10 +25,11 @@
 // --spares S adds S idle spare ranks that take over dead ranks' roles.
 // Recovery totals are printed per grid size as RECOVERY-COUNTERS lines.
 //
-// --degrade rank=K,at=T switches to a dedicated mode: a 3x3 DLB-DDM run in
-// which rank K's compute slows down by --degrade-factor (default 6x) from
-// virtual time T on. The before/after Fmax/Fave/Fmin table shows the DLB
-// shifting permanent cells off the slow PE until the imbalance is absorbed.
+// --degrade rank=K,at=T switches to a dedicated mode: a 3x3 run of the
+// --balancer policy (the paper's DLB by default) in which rank K's compute
+// slows down by --degrade-factor (default 6x) from virtual time T on. The
+// before/after Fmax/Fave/Fmin table shows the DLB shifting permanent cells
+// off the slow PE until the imbalance is absorbed.
 
 #include "ddm/comm_volume.hpp"
 #include "ddm/parallel_md.hpp"
@@ -54,7 +55,6 @@ int run_degrade_mode(const pcmd::run::RunSpec& base) {
   using namespace pcmd;
   run::RunSpec spec = base;
   spec.system.pe_count = 9;
-  spec.dlb_enabled = true;
   const run::DegradeSpec& degrade = *spec.degrade;
   if (degrade.rank < 0 || degrade.rank >= spec.system.pe_count) {
     throw std::invalid_argument("--degrade rank out of range for 3x3");
@@ -74,8 +74,9 @@ int run_degrade_mode(const pcmd::run::RunSpec& base) {
                      config);
 
   std::printf("== degrade mode: rank %d slows %.1fx at t=%g s (3x3, m=%d, "
-              "DLB on) ==\n",
-              degrade.rank, degrade.factor, degrade.at, spec.system.m);
+              "balancer %s) ==\n",
+              degrade.rank, degrade.factor, degrade.at, spec.system.m,
+              ddm::balancer_name(spec.balancer.kind));
 
   // Classify each step by when it started relative to the stall onset: the
   // "impact" bucket (first 30 steps after T) takes the hit, then the DLB
@@ -137,7 +138,6 @@ int main(int argc, char** argv) {
   defaults.system.density = 0.256;
   defaults.system.seed = 42;
   defaults.steps = 100;
-  defaults.dlb_enabled = true;
   const bool m_given = cli.has("m");
   run::RunSpec base = run::parse_run_spec(cli, defaults);
   run::require_all_flags_consumed(cli, "scaling_study");

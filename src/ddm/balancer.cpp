@@ -42,11 +42,15 @@ class PermanentCellBalancer final : public Balancer {
   core::DlbProtocol protocol_;
 };
 
+// rescale: a single move may carry at most this fraction of the sender's
+// current load (HOOMD caps boundary movement per rebalancing step).
+constexpr double kRescaleMaxFraction = 0.5;
+
 // HOOMD-style capped rescaling: gate on the measured fractional load
 // imbalance of the 9-PE neighbourhood, then walk the strictly faster
 // neighbours fastest-first and move one column whose load fits both the
-// overshoot cap ((t_self - t_nb) / t_self of my load) and the policy's
-// per-move fraction cap.
+// overshoot cap ((t_self - t_nb) / t_self of my load) and the per-move
+// fraction cap kRescaleMaxFraction.
 class RescaleBalancer final : public Balancer {
  public:
   RescaleBalancer(const core::PillarLayout& layout,
@@ -93,7 +97,7 @@ class RescaleBalancer final : public Balancer {
       if (times.self_time > 0.0 && self_load > 0.0) {
         cap = std::min(
             (times.self_time - t) / times.self_time * self_load,
-            config_.rescale_max_fraction * self_load);
+            kRescaleMaxFraction * self_load);
       }
       const core::DlbDecision d =
           protocol_.decide_for_target(rank, map, nb, column_load, cap);
@@ -172,8 +176,7 @@ class DiffusionBalancer final : public Balancer {
   BalancerConfig config_;
 };
 
-// Control baseline: the DLB phases still run (empty announcements keep the
-// wire traffic comparable), but nothing ever moves.
+// DDM: nothing ever moves (ParallelMd skips the decision for this kind).
 class NoopBalancer final : public Balancer {
  public:
   BalancerKind kind() const override { return BalancerKind::kNone; }

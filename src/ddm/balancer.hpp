@@ -35,8 +35,9 @@
 //              trade a column with the (i, j+-1) neighbours when the
 //              pairwise time gradient exceeds a threshold, moving at most
 //              the gap-proportional load;
-//   none       control baseline: never moves anything (the DLB phases still
-//              run, so makespans stay comparable).
+//   none       the paper's DDM: never moves anything. ParallelMd skips
+//              phase B's decision for it; the announcements still go out,
+//              so the wire traffic matches a DLB run that moves nothing.
 #pragma once
 
 #include "core/column_map.hpp"
@@ -52,16 +53,14 @@ namespace pcmd::ddm {
 
 enum class BalancerKind { kPermanent, kRescale, kDiffusion, kNone };
 
-// Tuning knobs for the non-paper policies (the paper protocol reads its
-// knobs from core::DlbConfig, unchanged).
+// The policy and the tuning knobs of the non-paper policies (the paper
+// protocol reads its knobs from core::DlbConfig, unchanged). kNone, the
+// default, is the paper's DDM: no decision is ever made.
 struct BalancerConfig {
-  BalancerKind kind = BalancerKind::kPermanent;
+  BalancerKind kind = BalancerKind::kNone;
   // rescale: act only when t_self / mean(neighbourhood) > 1 + tolerance
   // (HOOMD's LoadBalancer gates on the same fractional imbalance).
   double rescale_tolerance = 0.05;
-  // rescale: a single move may carry at most this fraction of the sender's
-  // current load (HOOMD caps boundary movement per rebalancing step).
-  double rescale_max_fraction = 0.5;
   // diffusion: minimum relative time gap to an axis neighbour before a
   // column is traded.
   double diffusion_threshold = 0.02;

@@ -1,5 +1,6 @@
 #include "ddm/parallel_md.hpp"
 
+#include "core/check.hpp"
 #include "ddm/wire.hpp"
 #include "md/checkpoint.hpp"
 #include "md/observables.hpp"
@@ -22,6 +23,18 @@ namespace {
 // double and its max identifies the PE with the most cells together with
 // that PE's empty-cell count.
 constexpr double kComposite = 1.0e6;
+
+// Virtual seconds a healing run waits on a silent peer before presuming it
+// dead.
+constexpr double kRecvTimeout = 5e-4;
+
+// Per-component velocity magnitude above which a role flags itself to the
+// healing watchdog through the max collective.
+constexpr double kVelocityAlarm = 50.0;
+
+// Recovery attempts (rollbacks + failovers) tolerated per step() call
+// before a healing run is declared unrecoverable.
+constexpr int kMaxRecoveryRounds = 8;
 
 std::pair<int, int> decode_composite(double value) {
   const auto hi = static_cast<int>(value / kComposite);
@@ -180,18 +193,19 @@ void ParallelMd::init_resume(const sim::Buffer& checkpoint) {
 
 void ParallelMd::finish_construction(
     bool resume, const std::vector<double>& resume_last_busy) {
-  // Self-healing subsumes the lower fault-tolerance layers: buddy envelopes
-  // and restore traffic must survive a lossy link, so reliable routing is
-  // mandatory (crash detection reuses the recv_timeout machinery).
+  // Buddy envelopes and restore traffic must survive a lossy link, so
+  // healing makes reliable routing mandatory.
   if (healing_enabled()) {
     config_.fault_tolerance.reliable = true;
   }
-  // The strict checker presumes lossless, crash-free traffic; leave it off
-  // when the run is deliberately faulty.
+  // Checked builds attach a sim::ProtocolChecker: all traffic must stay on
+  // the 8-neighbour torus stencil and drain every step. It presumes
+  // lossless, crash-free traffic, so it stays off when the run is
+  // deliberately faulty (dropped copies and dead ranks are expected there).
   auto* injector = engine_->fault_injector();
   const bool faulty = (injector != nullptr && !injector->plan().empty()) ||
-                      config_.fault_tolerance.recovery || healing_enabled();
-  if (config_.verify_invariants && !faulty) {
+                      healing_enabled();
+  if (PCMD_ASSERTS_ENABLED && !faulty) {
     sim::ProtocolChecker::Options options;
     // Every message of the six-phase step protocol must stay on the paper's
     // 8-neighbour stencil; no tag is exempt.
@@ -222,7 +236,7 @@ void ParallelMd::finish_construction(
   }
   for (auto& rank : ranks_) {
     rank->peer_alive.assign(static_cast<std::size_t>(layout_.pe_count()), 1);
-    rank->channel = sim::ReliableChannel(config_.fault_tolerance.policy);
+    rank->channel = sim::ReliableChannel();
   }
   // Spares idle at the barriers until a failover promotes them.
   for (int p = 0; p < engine_->size(); ++p) {
@@ -315,13 +329,12 @@ void ParallelMd::verify_step_invariants() const {
     checker_->reset();
   }
   if (dlb_active_this_step_) {
-    // After a crash in a recovery run the global view is only *eventually*
-    // consistent: survivors detect the death independently, so for a few
-    // steps some views still show the dead rank as an owner while its
-    // columns await adoption. The strict per-step check would flag that
-    // window as a bug; the settled state is asserted by the caller (and the
-    // chaos battery) via check_ownership() once stepping is done.
-    if (detect_enabled()) {
+    // An attempt in which a role crashed leaves that role's columns
+    // unclaimed until the recovery driver repairs them after the step. The
+    // strict per-step check would flag that window as a bug; the repaired
+    // state is asserted by the caller (and the chaos battery) via
+    // check_ownership() once stepping is done.
+    if (healing_enabled()) {
       int live = 0;
       for (int l = 0; l < layout_.pe_count(); ++l) {
         if (role_live(l)) ++live;
@@ -353,7 +366,8 @@ std::vector<int> ParallelMd::owned_columns(const Rank& rank,
 
 void ParallelMd::send_to(sim::Comm& comm, Rank& rank, int dst, int tag,
                          sim::Buffer payload) {
-  if (detect_enabled() && rank.peer_alive[static_cast<std::size_t>(dst)] == 0) {
+  if (healing_enabled() &&
+      rank.peer_alive[static_cast<std::size_t>(dst)] == 0) {
     return;  // survivors do not talk to the dead
   }
   const int host = membership_.physical_of(dst);
@@ -367,8 +381,8 @@ void ParallelMd::send_to(sim::Comm& comm, Rank& rank, int dst, int tag,
 
 std::optional<sim::Buffer> ParallelMd::recv_from(sim::Comm& comm, Rank& rank,
                                                  int src, int tag) {
-  const auto& ft = config_.fault_tolerance;
-  if (detect_enabled() && rank.peer_alive[static_cast<std::size_t>(src)] == 0) {
+  if (healing_enabled() &&
+      rank.peer_alive[static_cast<std::size_t>(src)] == 0) {
     return std::nullopt;  // already known dead; nothing was sent to us
   }
   const int host = membership_.physical_of(src);
@@ -377,47 +391,19 @@ std::optional<sim::Buffer> ParallelMd::recv_from(sim::Comm& comm, Rank& rank,
     rank.peer_alive[static_cast<std::size_t>(src)] = 0;
     return std::nullopt;
   }
-  if (!detect_enabled()) {
-    if (ft.reliable) return rank.channel.recv(comm, host, tag);
+  if (!healing_enabled()) {
+    if (config_.fault_tolerance.reliable) {
+      return rank.channel.recv(comm, host, tag);
+    }
     return comm.recv(host, tag);
   }
-  auto payload = ft.reliable
-                     ? rank.channel.recv_deadline(comm, host, tag,
-                                                  ft.recv_timeout)
-                     : comm.recv_deadline(host, tag, ft.recv_timeout);
-  if (!payload) on_peer_dead(rank, membership_.role_of(comm.rank()), src);
+  // Healing always routes through the reliable channel. A silent peer is
+  // dead in this role's view; ownership is left alone, because the
+  // recovery driver repairs it between phases and rolls this doomed
+  // attempt back.
+  auto payload = rank.channel.recv_deadline(comm, host, tag, kRecvTimeout);
+  if (!payload) rank.peer_alive[static_cast<std::size_t>(src)] = 0;
   return payload;
-}
-
-void ParallelMd::on_peer_dead(Rank& rank, int me, int dead) {
-  rank.peer_alive[static_cast<std::size_t>(dead)] = 0;
-  if (healing_enabled()) {
-    // The recovery driver repairs membership and ownership between phases;
-    // local adoption would only disturb the doomed attempt, which is about
-    // to be rolled back anyway.
-    (void)me;
-    return;
-  }
-  // Re-adopt the dead rank's permanent cells: each column returns to its
-  // home rank, or to the lowest live rank when the home rank is dead too.
-  // Every survivor runs this rule on an identical view in the same phase
-  // (see FaultToleranceConfig::recovery), so the maps stay consistent
-  // without any extra communication.
-  int lowest_live = -1;
-  for (int r = 0; r < layout_.pe_count(); ++r) {
-    if (rank.peer_alive[static_cast<std::size_t>(r)] != 0) {
-      lowest_live = r;
-      break;
-    }
-  }
-  for (const int col : rank.map.columns_of(dead)) {
-    const int home = layout_.home_rank(col);
-    const int successor =
-        rank.peer_alive[static_cast<std::size_t>(home)] != 0 ? home
-                                                             : lowest_live;
-    rank.map.set_owner(col, successor);
-  }
-  (void)me;
 }
 
 void ParallelMd::span_begin(sim::Comm& comm, std::uint32_t name) const {
@@ -774,14 +760,14 @@ void ParallelMd::phase_e_forces(sim::Comm& comm, int me) {
                           rank.local_virial};
   comm.collective_begin(sim::ReduceOp::kSum, sums, me);
   if (healing_enabled()) {
-    // Fourth slot: the velocity alarm. A role whose particles exceed the
-    // configured speed flags itself as role + 1 (0 = no alarm); the max
+    // Fourth slot: the velocity alarm. A role with a particle faster than
+    // kVelocityAlarm flags itself as role + 1 (0 = no alarm); the max
     // identifies one suspect for the watchdog.
     double alarm = 0.0;
-    const double limit = config_.fault_tolerance.healing.velocity_alarm;
     for (const auto& p : rank.owned) {
-      if (std::abs(p.velocity.x) > limit || std::abs(p.velocity.y) > limit ||
-          std::abs(p.velocity.z) > limit) {
+      if (std::abs(p.velocity.x) > kVelocityAlarm ||
+          std::abs(p.velocity.y) > kVelocityAlarm ||
+          std::abs(p.velocity.z) > kVelocityAlarm) {
         alarm = static_cast<double>(me + 1);
         break;
       }
@@ -820,8 +806,8 @@ void ParallelMd::phase_f_finish(sim::Comm& comm, int me) {
 ParallelStepStats ParallelMd::attempt_step() {
   const double makespan_before = engine_->makespan();
   const std::int64_t step_number = step_count_ + 1;
-  dlb_active_this_step_ =
-      config_.dlb_enabled && (step_number % config_.dlb.interval == 0);
+  dlb_active_this_step_ = config_.balancer.kind != BalancerKind::kNone &&
+                          step_number % config_.dlb.interval == 0;
 
   const auto role_phase = [this](void (ParallelMd::*body)(sim::Comm&, int)) {
     engine_->run_phase([this, body](sim::Comm& comm) {
@@ -838,7 +824,7 @@ ParallelStepStats ParallelMd::attempt_step() {
   role_phase(&ParallelMd::phase_f_finish);
 
   ++step_count_;
-  if (config_.verify_invariants) {
+  if (PCMD_ASSERTS_ENABLED) {
     verify_step_invariants();
   }
 
@@ -941,7 +927,6 @@ ParallelStepStats ParallelMd::attempt_step() {
 }
 
 ParallelStepStats ParallelMd::step() {
-  const auto& healing = config_.fault_tolerance.healing;
   // The step this call must deliver: a rollback rewinds step_count_, and
   // every rolled-back step is then replayed inside this same call so the
   // caller always observes a monotone step sequence.
@@ -950,21 +935,14 @@ ParallelStepStats ParallelMd::step() {
   for (;;) {
     maybe_buddy_round();
     ParallelStepStats stats = attempt_step();
-    if (!healing_enabled()) {
-      return stats;  // PR 3 degrade mode, or no fault tolerance at all
-    }
-
-    // CRC-discard delta of this attempt, for the watchdog's escalation.
-    const std::uint64_t corrupt_delta =
-        prev_corrupt_discarded_ - watch_prev_corrupt_;
-    watch_prev_corrupt_ = prev_corrupt_discarded_;
+    if (!healing_enabled()) return stats;
 
     const auto check_budget = [&] {
-      if (++recoveries > healing.max_recovery_rounds) {
+      if (++recoveries > kMaxRecoveryRounds) {
         throw RecoveryError(
             "self-healing: recovery budget exhausted at step " +
             std::to_string(target) + " (" +
-            std::to_string(healing.max_recovery_rounds) + " rounds)");
+            std::to_string(kMaxRecoveryRounds) + " rounds)");
       }
     };
 
@@ -976,9 +954,8 @@ ParallelStepStats ParallelMd::step() {
     }
 
     const bool rebase = thermostat_ && thermostat_->due(step_count_);
-    const auto report =
-        watchdog_.inspect(stats.potential_energy + stats.kinetic_energy,
-                          rebase, last_suspect_, corrupt_delta);
+    const auto report = watchdog_.inspect(
+        stats.potential_energy + stats.kinetic_energy, rebase, last_suspect_);
     if (report.verdict == Watchdog::Verdict::kClean) {
       if (step_count_ < target) continue;  // replaying rolled-back steps
       stats.checkpoint_bytes =
@@ -1135,7 +1112,7 @@ void ParallelMd::recover_from_deaths(const std::vector<int>& dead_roles) {
     const auto& cc = rank.channel.counters();
     lost_retransmissions_ += cc.retransmissions;
     lost_corrupt_discarded_ += cc.corrupt_discarded;
-    rank.channel = sim::ReliableChannel(config_.fault_tolerance.policy);
+    rank.channel = sim::ReliableChannel();
     rank.owned.clear();
     rank.with_halo.clear();
     rank.self_snap = {};
@@ -1307,10 +1284,10 @@ void ParallelMd::perform_rollback(std::int64_t gen,
 
   // Retired roles: no rank will ever host them again, so the driver replays
   // the buddy's ward envelope directly — survivors adopt the columns (home
-  // role when live, else the lowest live role, PR 3's rule) and absorb the
-  // particles. Adoption can hand columns to non-neighbour roles on tori
-  // wider than 3x3; the halo planner then rejects the layout (documented
-  // retire-path caveat).
+  // role when live, else the lowest live role) and absorb the particles.
+  // Adoption can hand columns to non-neighbour roles on tori wider than
+  // 3x3; the halo planner then rejects the layout (documented retire-path
+  // caveat).
   int lowest_live = -1;
   for (int l = 0; l < layout_.pe_count(); ++l) {
     if (role_live(l)) {
@@ -1486,10 +1463,6 @@ core::InvariantReport ParallelMd::check_ownership() const {
     }
   }
   return report;
-}
-
-std::size_t ParallelMd::owned_count(int rank) const {
-  return ranks_.at(rank)->owned.size();
 }
 
 double ParallelMd::force_seconds(int rank) const {

@@ -25,7 +25,6 @@
 // rescale, whose global kinetic-energy sum differs only in rounding).
 #pragma once
 
-#include "core/check.hpp"
 #include "core/column_map.hpp"
 #include "core/dlb_protocol.hpp"
 #include "core/invariant.hpp"
@@ -64,18 +63,11 @@ struct ParallelMdConfig {
   double dt = 0.005;
   std::optional<double> rescale_temperature;
   int rescale_interval = 50;
-  bool dlb_enabled = false;
   core::DlbConfig dlb;
   // Which load-balancing policy drives phase B's decision (ddm/balancer.hpp).
-  // Only consulted when dlb_enabled; kPermanent reproduces the paper.
+  // kNone, the default, is the paper's DDM and skips the decision;
+  // kPermanent is the paper's DLB-DDM.
   BalancerConfig balancer;
-  // Runtime verification: attach a sim::ProtocolChecker to the engine (all
-  // traffic must stay on the 8-neighbour torus stencil and drain every
-  // step) and re-verify the permanent-cell ownership invariants after each
-  // DLB-active step. Violations throw core::CheckError /
-  // sim::ProtocolError with provenance. Defaults to on in -DPCMD_CHECKS=ON
-  // builds; force it on anywhere for debugging.
-  bool verify_invariants = PCMD_ASSERTS_ENABLED;
   // Observability: when set, named spans for the step's sub-phases (drift,
   // dlb, migrate, halo, force) and DLB-decision events are recorded into
   // this collector, in virtual time. The caller usually also attaches the
@@ -83,10 +75,7 @@ struct ParallelMdConfig {
   // send/recv/collective events land in between the spans. Not owned; must
   // outlive this object. nullptr (default) records nothing.
   obs::TraceCollector* trace = nullptr;
-  // Reliable delivery / crash recovery (see FaultToleranceConfig). When
-  // recovery is on, or a FaultInjector with a lossy plan is attached to the
-  // engine, the strict protocol checker is not installed — dropped copies
-  // and dead ranks are expected traffic anomalies there, not bugs.
+  // Reliable delivery / crash survival (see FaultToleranceConfig).
   FaultToleranceConfig fault_tolerance;
 };
 
@@ -186,8 +175,6 @@ class ParallelMd {
   // Structural invariants on rank 0's view plus cross-rank consistency of
   // every rank's view of its own and its neighbours' columns.
   core::InvariantReport check_ownership() const;
-  // Particles currently held by a role.
-  std::size_t owned_count(int rank) const;
   // Last step's force-computation virtual seconds on a role.
   double force_seconds(int rank) const;
 
@@ -252,12 +239,9 @@ class ParallelMd {
   void send_halo(sim::Comm& comm, Rank& rank, int me, int tag);
   void absorb_halo(sim::Comm& comm, Rank& rank, int me, int tag);
 
+  // Healing is also what turns death detection on (recv_from).
   bool healing_enabled() const {
     return config_.fault_tolerance.healing.enabled;
-  }
-  // Death detection active: either PR 3's degrade-mode recovery or healing.
-  bool detect_enabled() const {
-    return config_.fault_tolerance.recovery || healing_enabled();
   }
   // Role `role` currently has a live host.
   bool role_live(int role) const {
@@ -297,13 +281,13 @@ class ParallelMd {
   // they are the ONLY place roles translate to physical ranks. With
   // fault_tolerance.reliable the payload rides the role's ReliableChannel
   // (streams keyed by the physical peer, so a failover naturally restarts
-  // them at sequence 0 on both ends); with death detection a silent peer is
-  // declared dead (recv_from returns nullopt). `dst`/`src` are roles.
+  // them at sequence 0 on both ends); with healing a silent peer is marked
+  // dead in this role's view (recv_from returns nullopt) and the recovery
+  // driver repairs it between phases. `dst`/`src` are roles.
   void send_to(sim::Comm& comm, Rank& rank, int dst, int tag,
                sim::Buffer payload);
   std::optional<sim::Buffer> recv_from(sim::Comm& comm, Rank& rank, int src,
                                        int tag);
-  void on_peer_dead(Rank& rank, int me, int dead);
   // Construction paths behind the EngineConfig constructor: bin fresh
   // particles into the box, or restore everything from a checkpoint buffer.
   void init_fresh(const Box& box, const md::ParticleVector& initial);
@@ -353,7 +337,7 @@ class ParallelMd {
   std::unique_ptr<Balancer> balancer_;
   sim::Membership membership_;
   Watchdog watchdog_;
-  std::unique_ptr<sim::ProtocolChecker> checker_;  // when verify_invariants
+  std::unique_ptr<sim::ProtocolChecker> checker_;  // PCMD_ASSERTS_ENABLED
   SpanNames spans_;
   std::vector<std::unique_ptr<Rank>> ranks_;  // indexed by role
   std::int64_t step_count_ = 0;
@@ -367,14 +351,15 @@ class ParallelMd {
   RecoveryCounters prev_recovery_;       // for per-step stat deltas
   std::int64_t last_generation_ = -1;    // newest buddy generation shipped
   int last_suspect_ = -1;                // velocity alarm of the last attempt
-  std::uint64_t watch_prev_corrupt_ = 0; // per-attempt CRC-discard baseline
   // Channel counters lost when a promoted role's channel is reset; added
   // back so the cumulative totals stay monotone.
   std::uint64_t lost_retransmissions_ = 0;
   std::uint64_t lost_corrupt_discarded_ = 0;
 
-  // End-of-step verification (verify_invariants only): SPMD protocol trace
-  // clean and, on DLB steps, the paper's structural invariants.
+  // End-of-step verification (PCMD_ASSERTS_ENABLED builds only): SPMD
+  // protocol trace clean and, on DLB steps, the paper's structural
+  // invariants. Violations throw core::CheckError / sim::ProtocolError with
+  // provenance.
   void verify_step_invariants() const;
 };
 

@@ -49,25 +49,27 @@ RankEnvelope unpack_rank_envelope(sim::Buffer sealed, int expect_columns) {
   }
 }
 
+namespace {
+// Energy-drift window: steps kept in the sliding window, and the relative
+// deviation from the window mean that trips a rollback.
+constexpr std::size_t kEnergyWindow = 8;
+constexpr double kEnergyTolerance = 0.5;
+}  // namespace
+
 Watchdog::Report Watchdog::inspect(double total_energy, bool rebase,
-                                   int suspect, std::uint64_t corrupt_delta) {
+                                   int suspect) {
   Report report;
   std::string reason;
   if (!std::isfinite(total_energy)) {
     reason = "non-finite total energy";
   } else if (suspect >= 0) {
     reason = "velocity alarm on role " + std::to_string(suspect);
-  } else if (config_.crc_escalation > 0 &&
-             corrupt_delta > config_.crc_escalation) {
-    reason = std::to_string(corrupt_delta) +
-             " corrupt frames in one step (threshold " +
-             std::to_string(config_.crc_escalation) + ")";
   } else if (!rebase && !window_.empty()) {
     double mean = 0.0;
     for (const double e : window_) mean += e;
     mean /= static_cast<double>(window_.size());
     const double deviation = std::abs(total_energy - mean);
-    if (deviation > config_.energy_tolerance * (std::abs(mean) + 1.0)) {
+    if (deviation > kEnergyTolerance * (std::abs(mean) + 1.0)) {
       reason = "energy drift: |E - <E>| = " + std::to_string(deviation) +
                " against window mean " + std::to_string(mean);
     }
@@ -78,10 +80,7 @@ Watchdog::Report Watchdog::inspect(double total_energy, bool rebase,
     // legitimate), everything else extends it.
     if (rebase) window_.clear();
     window_.push_back(total_energy);
-    while (static_cast<int>(window_.size()) >
-           std::max(1, config_.energy_window)) {
-      window_.pop_front();
-    }
+    while (window_.size() > kEnergyWindow) window_.pop_front();
     consecutive_rollbacks_ = 0;
     return report;
   }

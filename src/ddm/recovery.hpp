@@ -21,13 +21,13 @@
 //     equality) holds on that path.
 //
 //   * Watchdog rollback. An online monitor fed once per step with the total
-//     energy, a per-role velocity alarm (reduced through the max collective)
-//     and the CRC-discard counters. A violation triggers an all-role
-//     rollback to the newest generation every live role can restore; a role
-//     that keeps tripping the watchdog past `max_rollbacks` consecutive
-//     rollbacks is declared dead and handed to failover. The escalation
-//     ladder is thus: CRC retry (reliable channel) -> rollback -> declared
-//     crash -> failover.
+//     energy and a per-role velocity alarm (reduced through the max
+//     collective). A violation triggers an all-role rollback to the newest
+//     generation every live role can restore; a role that keeps tripping the
+//     watchdog past `max_rollbacks` consecutive rollbacks is declared dead
+//     and handed to failover. The escalation ladder is thus: rollback ->
+//     declared crash -> failover. Corrupt frames never reach it: the
+//     reliable channel's CRC check discards and retransmits them.
 #pragma once
 
 #include "md/particle.hpp"
@@ -49,24 +49,10 @@ struct SelfHealingConfig {
   // Spare physical ranks beyond the P of the decomposition. Spares idle
   // parked until promoted; 0 falls back to retire-and-adopt on crash.
   int spares = 0;
-  // Recovery attempts (rollbacks + failovers) tolerated per step() call
-  // before the run is declared unrecoverable.
-  int max_recovery_rounds = 8;
   // Consecutive watchdog rollbacks tolerated before the suspect role is
   // declared dead (escalation to failover). Requires a suspect — a pure
   // energy drift with no flagged role keeps rolling back.
   int max_rollbacks = 2;
-  // Energy-drift window: steps kept in the sliding window, and the relative
-  // deviation from the window mean that trips a rollback.
-  int energy_window = 8;
-  double energy_tolerance = 0.5;
-  // Per-component velocity magnitude above which a role flags itself to the
-  // watchdog through the max collective.
-  double velocity_alarm = 50.0;
-  // CRC-discard escalation: more than this many corrupt frames discarded in
-  // one step trips the watchdog (0 = disabled; the reliable channel already
-  // masks corruption, this guards against a link past its design point).
-  std::uint64_t crc_escalation = 0;
 };
 
 // Monotone totals since construction; deltas appear per step in
@@ -122,9 +108,7 @@ class Watchdog {
   // `total_energy`: PE + KE of the step. `rebase` marks steps whose energy
   // legitimately jumps (thermostat rescale) — the window restarts there.
   // `suspect`: role whose velocity alarm fired this step, -1 if none.
-  // `corrupt_delta`: CRC frames discarded during the step.
-  Report inspect(double total_energy, bool rebase, int suspect,
-                 std::uint64_t corrupt_delta);
+  Report inspect(double total_energy, bool rebase, int suspect);
 
   // A rollback was executed: the in-window energies are about to be
   // recomputed, so forget them.

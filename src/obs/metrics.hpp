@@ -9,7 +9,7 @@
 // the schema unit test) can rely on.
 //
 // The recorder takes scalar inputs rather than ddm::ParallelStepStats so
-// pcmd_obs depends only on pcmd_sim; theory::run_md_trajectory does the
+// pcmd_obs depends only on pcmd_sim; run::run_md_trajectory does the
 // field mapping.
 #pragma once
 

@@ -65,3 +65,4 @@
 
 // run — declarative run descriptions for harnesses
 #include "run/run_spec.hpp"
+#include "run/trajectory.hpp"

@@ -7,18 +7,24 @@
 
 namespace pcmd::run {
 
-namespace {
-// Reads a count or cadence flag, where 0 means off: a negative (or
-// int-overflowing) value throws naming the flag and its token instead of
-// being dropped, clamped or carried into the spec.
-int get_count(const Cli& cli, const std::string& flag, int fallback) {
+std::int64_t get_int_in(const Cli& cli, const std::string& flag,
+                        std::int64_t fallback, std::int64_t lo,
+                        std::int64_t hi) {
   const std::int64_t value = cli.get_int(flag, fallback);
-  if (value < 0 || value > std::numeric_limits<int>::max()) {
+  if (value < lo || value > hi) {
     throw SpecError("--" + flag + ": '" + cli.get(flag, "") +
-                    "' is out of range (expected an integer from 0 to "
-                    "2^31-1)");
+                    "' is out of range (expected an integer from " +
+                    std::to_string(lo) + " to " + std::to_string(hi) + ")");
   }
-  return static_cast<int>(value);
+  return value;
+}
+
+namespace {
+// Reads a count or cadence flag, where 0 means off: a negative value would
+// otherwise be dropped, clamped or carried into the spec.
+int get_count(const Cli& cli, const std::string& flag, int fallback) {
+  return static_cast<int>(
+      get_int_in(cli, flag, fallback, 0, std::numeric_limits<int>::max()));
 }
 }  // namespace
 
@@ -100,18 +106,8 @@ RunSpec& RunSpec::with_steps(std::int64_t value) {
   return *this;
 }
 
-RunSpec& RunSpec::with_dlb(bool value) {
-  dlb_enabled = value;
-  return *this;
-}
-
 RunSpec& RunSpec::with_balancer(ddm::BalancerKind value) {
   balancer.kind = value;
-  return *this;
-}
-
-RunSpec& RunSpec::with_machine(const sim::MachineModel& value) {
-  machine = value;
   return *this;
 }
 
@@ -131,29 +127,10 @@ RunSpec& RunSpec::with_trace(std::string path) {
   return *this;
 }
 
-RunSpec& RunSpec::with_degrade(const DegradeSpec& value) {
-  degrade = value;
-  return *this;
-}
-
 sim::FaultPlan RunSpec::fault_plan() const {
   sim::FaultPlan plan = faults;
   if (degrade) plan.stalls.push_back(degrade->stall());
   return plan;
-}
-
-theory::MdTrajectoryConfig RunSpec::trajectory_config() const {
-  theory::MdTrajectoryConfig config;
-  config.spec = system;
-  config.steps = static_cast<int>(steps);
-  config.dlb_enabled = dlb_enabled;
-  config.dlb = dlb;
-  config.balancer = balancer;
-  config.machine = machine;
-  config.faults = fault_plan();
-  config.fault_tolerance = fault_tolerance;
-  config.checkpoint_every = checkpoint_every;
-  return config;
 }
 
 ddm::ParallelMdConfig RunSpec::parallel_config() const {
@@ -164,7 +141,6 @@ ddm::ParallelMdConfig RunSpec::parallel_config() const {
   config.dt = system.dt;
   config.rescale_temperature = system.temperature;
   config.rescale_interval = system.rescale_interval;
-  config.dlb_enabled = dlb_enabled;
   config.dlb = dlb;
   config.balancer = balancer;
   config.fault_tolerance = fault_tolerance;
@@ -180,16 +156,22 @@ RunSpec parse_run_spec(const Cli& cli, RunSpec defaults) {
     RunSpec spec = std::move(defaults);
     spec.steps = cli.get_int("steps", spec.steps);
     spec.system.density = cli.get_double("density", spec.system.density);
-    spec.system.m = static_cast<int>(cli.get_int("m", spec.system.m));
-    spec.system.seed = static_cast<std::uint64_t>(
-        cli.get_int("seed", static_cast<std::int64_t>(spec.system.seed)));
-    spec.dlb_enabled = cli.get_bool("dlb", spec.dlb_enabled);
+    spec.system.m = static_cast<int>(
+        get_int_in(cli, "m", spec.system.m, std::numeric_limits<int>::min(),
+                   std::numeric_limits<int>::max()));
+    spec.system.seed = static_cast<std::uint64_t>(get_int_in(
+        cli, "seed", static_cast<std::int64_t>(spec.system.seed), 0,
+        std::numeric_limits<std::int64_t>::max()));
     if (const auto balancer = cli.get_optional("balancer")) {
       try {
         spec.balancer.kind = ddm::parse_balancer_kind(*balancer);
       } catch (const std::invalid_argument& e) {
         throw SpecError("--balancer: " + std::string(e.what()));
       }
+    }
+    // --dlb 0 wins over any --balancer: it says no balancer at all.
+    if (!cli.get_bool("dlb", true)) {
+      spec.balancer.kind = ddm::BalancerKind::kNone;
     }
     if (const auto trace = cli.get_optional("trace")) spec.trace_path = *trace;
     if (const auto faults = cli.get_optional("faults")) {
@@ -236,7 +218,7 @@ void require_all_flags_consumed(const Cli& cli, const std::string& program) {
   throw SpecError(
       program + ": unknown flag" + (unknown.size() > 1 ? "s " : " ") + joined +
       " (shared run flags: --steps N, --density R, --m M, --seed S, "
-      "--dlb 0|1, --balancer POLICY, --faults PLAN, --checkpoint-every N, "
+      "--balancer POLICY, --dlb 0|1, --faults PLAN, --checkpoint-every N, "
       "--buddy-every N, --spares S, --degrade rank=K,at=T, "
       "--degrade-factor F, --trace PATH)");
 }

@@ -1,4 +1,5 @@
-// Declarative run description for the example and bench harnesses.
+// Declarative run description for the example and bench harnesses and
+// the serve layer.
 //
 // Every harness used to carry its own copy of the same flag-parsing blocks
 // (--faults, --degrade, --trace, --checkpoint-every, healing knobs) and its
@@ -6,9 +7,9 @@
 // struct describes a paper-system run — workload, PE count, steps, DLB
 // policy, fault plan, trace sink, checkpoint cadence — with a chainable
 // builder for programmatic use, a strict shared CLI parser for the
-// harnesses, and bridges to the layer-specific configs
-// (theory::MdTrajectoryConfig, ddm::ParallelMdConfig) that actually drive a
-// run.
+// harnesses, and one bridge to the engine config
+// (ddm::ParallelMdConfig). run::run_md_trajectory (run/trajectory.hpp)
+// runs a RunSpec end to end.
 //
 // The parser is strict in the repo's house style: malformed values throw
 // std::invalid_argument naming the flag, the offending token and the
@@ -22,7 +23,6 @@
 #include "ddm/parallel_md.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/fault.hpp"
-#include "theory/effective_range.hpp"
 #include "util/cli.hpp"
 #include "workload/paper_system.hpp"
 
@@ -67,9 +67,10 @@ struct DegradeSpec {
 struct RunSpec {
   workload::PaperSystemSpec system;  // pe_count, m, density, seed, T*, dt
   std::int64_t steps = 500;
-  bool dlb_enabled = true;
   core::DlbConfig dlb;
-  ddm::BalancerConfig balancer;  // policy behind --balancer
+  // Policy behind --balancer (--dlb 0 is a spelling of none). The default
+  // is the paper's permanent-cell DLB; none is the paper's DDM.
+  ddm::BalancerConfig balancer{.kind = ddm::BalancerKind::kPermanent};
   sim::MachineModel machine = sim::MachineModel::t3e();
   sim::FaultPlan faults;
   ddm::FaultToleranceConfig fault_tolerance;
@@ -83,13 +84,10 @@ struct RunSpec {
   RunSpec& with_density(double value);
   RunSpec& with_seed(std::uint64_t value);
   RunSpec& with_steps(std::int64_t value);
-  RunSpec& with_dlb(bool value);
   RunSpec& with_balancer(ddm::BalancerKind value);
-  RunSpec& with_machine(const sim::MachineModel& value);
   RunSpec& with_faults(sim::FaultPlan value);
   RunSpec& with_checkpoint_every(int value);
   RunSpec& with_trace(std::string path);
-  RunSpec& with_degrade(const DegradeSpec& value);
 
   bool healing_enabled() const { return fault_tolerance.healing.enabled; }
 
@@ -97,20 +95,17 @@ struct RunSpec {
   // (when one is set). This is what should reach the FaultInjector.
   sim::FaultPlan fault_plan() const;
 
-  // Bridge to the theory-layer trajectory driver (Fig. 5/6/9 runs). The
-  // trace collector is attached by the caller (it owns the sink lifetime).
-  theory::MdTrajectoryConfig trajectory_config() const;
-
-  // Bridge for harnesses driving ParallelMd directly. Trace collector and
-  // checkpoint cadence stay with the caller.
+  // The engine config this spec describes. Trace collector and checkpoint
+  // cadence stay with the caller.
   ddm::ParallelMdConfig parallel_config() const;
 };
 
 // Applies the shared flag surface on top of `defaults` and returns the
 // resulting spec:
 //
-//   --steps N  --density R  --m M  --seed S  --dlb 0|1
+//   --steps N  --density R  --m M  --seed S
 //   --balancer permanent|rescale|diffusion|none
+//   --dlb 0|1                (0 is the old spelling of --balancer none)
 //   --faults PLAN            (sim::FaultPlan grammar, e.g. seed=7,drop=0.05)
 //   --checkpoint-every N
 //   --buddy-every N  --spares S   (either > 0 turns self-healing on)
@@ -119,9 +114,16 @@ struct RunSpec {
 //
 // A non-empty fault plan switches fault_tolerance.reliable on, matching
 // what every harness did by hand before. --checkpoint-every, --buddy-every
-// and --spares take counts from 0 (off) up; a negative one throws
-// SpecError naming the flag and the token.
+// and --spares take counts from 0 (off) up, --seed from 0 to 2^63-1 and
+// --m any int; a value outside its range throws SpecError naming the flag
+// and the token instead of wrapping.
 RunSpec parse_run_spec(const Cli& cli, RunSpec defaults = {});
+
+// Reads an integer flag that must lie in [lo, hi]: a value outside throws
+// SpecError naming the flag, its token and the range instead of wrapping.
+std::int64_t get_int_in(const Cli& cli, const std::string& flag,
+                        std::int64_t fallback, std::int64_t lo,
+                        std::int64_t hi);
 
 // Call after the harness has queried its own extra flags: throws
 // std::invalid_argument listing every flag nobody consumed, together with

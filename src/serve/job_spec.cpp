@@ -1,8 +1,10 @@
 #include "serve/job_spec.hpp"
 
 #include "serve/flat_json.hpp"
+#include "util/checksum.hpp"
 
 #include <cstdio>
+#include <limits>
 #include <vector>
 
 namespace pcmd::serve {
@@ -45,8 +47,9 @@ JobSpec parse_tokens(const std::vector<std::string>& tokens) {
 
   try {
     JobSpec job;
-    job.run.system.pe_count =
-        static_cast<int>(cli.get_int("pe", job.run.system.pe_count));
+    job.run.system.pe_count = static_cast<int>(run::get_int_in(
+        cli, "pe", job.run.system.pe_count, std::numeric_limits<int>::min(),
+        std::numeric_limits<int>::max()));
     job.run = run::parse_run_spec(cli, std::move(job.run));
     if (const auto priority = cli.get_optional("priority")) {
       job.priority = parse_priority(*priority);
@@ -55,9 +58,11 @@ JobSpec parse_tokens(const std::vector<std::string>& tokens) {
       job.engine = parse_engine_kind(*engine);
     }
     job.deadline = cli.get_double("deadline", job.deadline);
-    if (cli.get_bool("recovery", job.run.fault_tolerance.recovery)) {
-      job.run.fault_tolerance.recovery = true;
-      job.run.fault_tolerance.reliable = true;
+    // The old spelling of crash survival: self-healing, at the cadence and
+    // spare count the healing flags give (by default every 10 steps, no
+    // spares).
+    if (cli.get_bool("recovery", false)) {
+      job.run.fault_tolerance.healing.enabled = true;
     }
     run::require_all_flags_consumed(cli, "job-spec");
 
@@ -146,7 +151,6 @@ std::string JobSpec::canonical() const {
   out += " --density " + format_double(run.system.density);
   out += " --seed " + std::to_string(run.system.seed);
   out += " --steps " + std::to_string(run.steps);
-  out += " --dlb " + std::string(run.dlb_enabled ? "1" : "0");
   out += " --balancer " + std::string(ddm::balancer_name(run.balancer.kind));
   if (!run.faults.empty()) out += " --faults " + run.faults.to_string();
   out += " --checkpoint-every " + std::to_string(run.checkpoint_every);
@@ -154,7 +158,6 @@ std::string JobSpec::canonical() const {
          std::to_string(ft.healing.enabled ? ft.healing.buddy_every : 0);
   out += " --spares " +
          std::to_string(ft.healing.enabled ? ft.healing.spares : 0);
-  out += " --recovery " + std::string(ft.recovery ? "1" : "0");
   if (run.degrade) {
     out += " --degrade rank=" + std::to_string(run.degrade->rank) +
            ",at=" + format_double(run.degrade->at);
@@ -165,14 +168,7 @@ std::string JobSpec::canonical() const {
   return out;
 }
 
-std::uint64_t JobSpec::digest() const {
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (const char c : canonical()) {
-    hash ^= static_cast<std::uint8_t>(c);
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
+std::uint64_t JobSpec::digest() const { return fnv1a64(canonical()); }
 
 std::uint64_t JobSpec::family_digest() const {
   return family_digest_of_canonical(canonical());
@@ -186,8 +182,7 @@ std::string JobSpec::digest_hex() const {
 }
 
 bool JobSpec::preemptible() const {
-  return run.fault_plan().empty() && !run.fault_tolerance.recovery &&
-         !run.fault_tolerance.healing.enabled;
+  return run.fault_plan().empty() && !run.fault_tolerance.healing.enabled;
 }
 
 std::uint64_t family_digest_of_canonical(const std::string& canonical) {
@@ -202,12 +197,7 @@ std::uint64_t family_digest_of_canonical(const std::string& canonical) {
     while (end < canonical.size() && canonical[end] != ' ') ++end;
     masked = canonical.substr(0, from) + "0" + canonical.substr(end);
   }
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (const char c : masked) {
-    hash ^= static_cast<std::uint8_t>(c);
-    hash *= 1099511628211ULL;
-  }
-  return hash;
+  return fnv1a64(masked);
 }
 
 }  // namespace pcmd::serve

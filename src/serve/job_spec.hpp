@@ -13,7 +13,9 @@
 // re-parses to the same spec; digest() is FNV-1a 64 over it. Priority and
 // trace path are deliberately excluded — they change *scheduling*, not the
 // trajectory — so the (digest, seed) key of the result store deduplicates
-// resubmissions of the same physics regardless of lane.
+// resubmissions of the same physics regardless of lane. It never prints
+// the old spellings "--dlb 0" (DDM is "--balancer none") or "--recovery 1"
+// (the healing flags); they still parse, so journals holding them replay.
 #pragma once
 
 #include "run/run_spec.hpp"
@@ -62,8 +64,8 @@ struct JobSpec {
   // Only jobs whose trajectory is provably resume-invariant may be evicted
   // mid-run: fault-injection decisions are keyed on the engine's phase
   // index, which restarts from zero on resume, so preempting a faulty (or
-  // recovery/healing) job would realise a *different* fault schedule than
-  // the uninterrupted run. Clean jobs resume bitwise identically.
+  // healing) job would realise a *different* fault schedule than the
+  // uninterrupted run. Clean jobs resume bitwise identically.
   bool preemptible() const;
 };
 

@@ -7,10 +7,10 @@
 #include "sim/comm.hpp"
 #include "sim/fault.hpp"
 #include "sim/reliable.hpp"
+#include "util/checksum.hpp"
 #include "util/rng.hpp"
 #include "workload/paper_system.hpp"
 
-#include <cstring>
 #include <memory>
 #include <utility>
 
@@ -18,30 +18,14 @@ namespace pcmd::serve {
 
 namespace {
 
-void hash_bytes(std::uint64_t& hash, const void* data, std::size_t size) {
-  const auto* bytes = static_cast<const std::uint8_t*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 1099511628211ULL;
-  }
-}
-
-void hash_double(std::uint64_t& hash, double value) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  hash_bytes(hash, &bits, sizeof(bits));
-}
-
 std::uint64_t particle_digest(const md::ParticleVector& particles) {
-  std::uint64_t hash = 14695981039346656037ULL;
+  std::uint64_t hash = kFnv1a64Basis;
   for (const auto& p : particles) {
-    hash_bytes(hash, &p.id, sizeof(p.id));
-    hash_double(hash, p.position.x);
-    hash_double(hash, p.position.y);
-    hash_double(hash, p.position.z);
-    hash_double(hash, p.velocity.x);
-    hash_double(hash, p.velocity.y);
-    hash_double(hash, p.velocity.z);
+    hash = fnv1a64(&p.id, sizeof(p.id), hash);
+    for (const double value : {p.position.x, p.position.y, p.position.z,
+                               p.velocity.x, p.velocity.y, p.velocity.z}) {
+      hash = fnv1a64(&value, sizeof(value), hash);
+    }
   }
   return hash;
 }

@@ -1,5 +1,6 @@
 #include "serve/scheduler.hpp"
 
+#include "util/checksum.hpp"
 #include "util/rng.hpp"
 
 #include <chrono>
@@ -15,15 +16,6 @@ std::string hex16(std::uint64_t value) {
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(value));
   return buf;
-}
-
-std::uint64_t fnv1a64(const std::string& text) {
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (const char c : text) {
-    hash ^= static_cast<std::uint8_t>(c);
-    hash *= 1099511628211ULL;
-  }
-  return hash;
 }
 
 }  // namespace

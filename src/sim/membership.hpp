@@ -1,6 +1,6 @@
 // Logical-role membership for self-healing SPMD programs.
 //
-// The recovery design separates two identities that PR 3 conflated:
+// The recovery design separates two identities of a PE:
 //
 //   * a *role* is a logical PE of the paper's P-rank decomposition — it owns
 //     permanent cells, appears in the column map, contributes DLB busy
@@ -12,11 +12,11 @@
 // The whole MD program computes in role space; only the comm boundary
 // (ParallelMd::send_to / recv_from) translates role → physical. When a host
 // dies, fail_over() bumps the membership *epoch* and reassigns the role to a
-// spare — or retires the role if no spare is available (PR 3's degraded
-// mode). Because everything above the boundary is written in role space,
-// failover changes no arithmetic: collectives combine in role order, maps
-// store role ids, and the resumed trajectory is bitwise identical to an
-// undisturbed run.
+// spare — or retires the role if no spare is available (survivors then
+// adopt its cells). Because everything above the boundary is written in
+// role space, failover changes no arithmetic: collectives combine in role
+// order, maps store role ids, and the resumed trajectory is bitwise
+// identical to an undisturbed run.
 //
 // This class is plain bookkeeping, mutated only by the recovery driver
 // between phases, and read (const) by phase bodies — same publication rule

@@ -68,14 +68,7 @@ class ReliableChannel {
  public:
   explicit ReliableChannel(ReliablePolicy policy = {}) : policy_(policy) {}
 
-  const ReliablePolicy& policy() const { return policy_; }
-  // Reconfigures the retry budget / backoff schedule. Takes effect on the
-  // next send; in-flight sequence numbers and counters are untouched, so the
-  // policy may be tuned per channel (e.g. a tighter budget once a peer is
-  // suspected) without disturbing the streams.
-  void set_policy(const ReliablePolicy& policy) { policy_ = policy; }
   const ChannelCounters& counters() const { return counters_; }
-  void reset_counters() { counters_ = ChannelCounters{}; }
 
   // Sends `payload` so that it will be delivered intact, retrying dropped or
   // corrupted copies with exponential virtual-time backoff. Throws

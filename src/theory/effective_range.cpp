@@ -1,6 +1,5 @@
 #include "theory/effective_range.hpp"
 
-#include "obs/collector.hpp"
 #include "theory/bounds.hpp"
 #include "util/stats.hpp"
 
@@ -114,94 +113,6 @@ EffectiveRangeResult synthetic_effective_range(
     }
   }
   result.mean_ratio_to_theory = ratio_stats.mean();
-  return result;
-}
-
-MdTrajectoryResult run_md_trajectory(const MdTrajectoryConfig& config) {
-  config.spec.validate();
-  pcmd::Rng rng(config.spec.seed);
-  const auto initial = workload::make_paper_system(config.spec, rng);
-
-  ddm::ParallelMdConfig pmd_config;
-  pmd_config.pe_side = config.spec.pe_side();
-  pmd_config.m = config.spec.m;
-  pmd_config.cutoff = config.spec.cutoff;
-  pmd_config.dt = config.spec.dt;
-  pmd_config.rescale_temperature = config.spec.temperature;
-  pmd_config.rescale_interval = config.spec.rescale_interval;
-  pmd_config.dlb_enabled = config.dlb_enabled;
-  pmd_config.dlb = config.dlb;
-  pmd_config.balancer = config.balancer;
-  pmd_config.trace = config.trace;
-  pmd_config.fault_tolerance = config.fault_tolerance;
-
-  sim::SeqEngine engine(ddm::engine_rank_count(pmd_config), config.machine);
-  if (config.trace) {
-    engine.set_trace_sink(config.trace);
-  }
-  std::optional<sim::FaultInjector> injector;
-  if (!config.faults.empty()) {
-    injector.emplace(config.faults);
-    engine.set_fault_injector(&*injector);
-  }
-  ddm::ParallelMd pmd(engine, config.spec.box(), initial, pmd_config);
-  // Baseline the counter deltas after the constructor's initial force
-  // phase, so row 0 covers exactly step 1.
-  obs::MetricsRecorder recorder(engine);
-
-  MdTrajectoryResult result;
-  result.particles = static_cast<std::int64_t>(initial.size());
-  result.total_cells = pmd.total_cells();
-  result.t_step.reserve(config.steps);
-  for (int i = 0; i < config.steps; ++i) {
-    const auto stats = pmd.step();
-    result.t_step.push_back(stats.t_step);
-    result.f_max.push_back(stats.force_max);
-    result.f_min.push_back(stats.force_min);
-    result.f_avg.push_back(stats.force_avg);
-    result.concentration.push_back(
-        estimate_concentration(stats, pmd.total_cells()));
-    result.transfers_total += stats.transfers;
-    result.final_particles = stats.total_particles;
-
-    obs::MetricsRecorder::StepInput input;
-    input.step = stats.step;
-    input.t_step = stats.t_step;
-    input.force_max = stats.force_max;
-    input.force_avg = stats.force_avg;
-    input.force_min = stats.force_min;
-    input.transfers = stats.transfers;
-    input.potential_energy = stats.potential_energy;
-    input.kinetic_energy = stats.kinetic_energy;
-    input.temperature = stats.temperature;
-    input.retransmissions = stats.retransmissions;
-    input.checkpoint_bytes = stats.checkpoint_bytes;
-    input.rollbacks = stats.rollbacks;
-    input.failovers = stats.failovers;
-    input.particles_recovered = stats.particles_recovered;
-    input.imbalance = stats.imbalance;
-    input.cells_moved = stats.cells_moved;
-    recorder.record(input);
-    result.retransmissions_total += stats.retransmissions;
-    result.recv_timeouts_total += stats.recv_timeouts;
-    result.checkpoint_bytes_total += stats.checkpoint_bytes;
-    result.rollbacks_total += stats.rollbacks;
-    result.failovers_total += stats.failovers;
-    result.particles_recovered_total += stats.particles_recovered;
-
-    if (config.checkpoint_every > 0 &&
-        (i + 1) % config.checkpoint_every == 0) {
-      result.last_checkpoint = pmd.checkpoint();
-      ++result.checkpoints_taken;
-    }
-  }
-  result.metrics = recorder.rows();
-  if (config.trace) {
-    engine.set_trace_sink(nullptr);
-  }
-  if (injector) {
-    engine.set_fault_injector(nullptr);
-  }
   return result;
 }
 

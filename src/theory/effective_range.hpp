@@ -6,17 +6,14 @@
 #pragma once
 
 #include "core/dlb_protocol.hpp"
-#include "ddm/parallel_md.hpp"
-#include "obs/metrics.hpp"
-#include "sim/fault.hpp"
 #include "theory/boundary.hpp"
 #include "theory/concentration.hpp"
 #include "theory/synthetic_balance.hpp"
 #include "util/least_squares.hpp"
-#include "workload/paper_system.hpp"
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 namespace pcmd::theory {
@@ -82,57 +79,5 @@ struct EffectiveRangeResult {
 };
 
 EffectiveRangeResult synthetic_effective_range(const EffectiveRangeConfig&);
-
-// ---- full-MD trajectory (Fig. 5/6/9 and Fig. 10 --full) ------------------
-
-struct MdTrajectoryConfig {
-  workload::PaperSystemSpec spec;
-  int steps = 500;
-  bool dlb_enabled = true;
-  core::DlbConfig dlb;
-  // Balancing policy (ddm/balancer.hpp); kPermanent reproduces the paper.
-  ddm::BalancerConfig balancer;
-  sim::MachineModel machine = sim::MachineModel::t3e();
-  // When set, the collector is attached to the engine as its trace sink and
-  // to the MD engine for sub-step spans, so the run produces a full span +
-  // message trace. Not owned; must outlive the call.
-  obs::TraceCollector* trace = nullptr;
-  // Fault injection: a non-empty plan attaches a sim::FaultInjector for the
-  // whole run (parse with sim::FaultPlan::parse, e.g. "seed=7,drop=0.05").
-  sim::FaultPlan faults;
-  // Reliable delivery / crash recovery, forwarded to the MD engine.
-  ddm::FaultToleranceConfig fault_tolerance;
-  // > 0: serialize a full checkpoint every N steps (the cost shows up in
-  // the virtual clocks only through what the run does with it; the last
-  // snapshot and total count are reported in the result).
-  int checkpoint_every = 0;
-};
-
-struct MdTrajectoryResult {
-  std::vector<double> t_step;  // Tt per step (virtual seconds)
-  std::vector<double> f_max;
-  std::vector<double> f_min;
-  std::vector<double> f_avg;
-  Trajectory concentration;
-  // One row per step: the ad-hoc series above plus engine counters (wait
-  // time, messages, bytes) and energies, ready for obs::write_csv.
-  std::vector<obs::StepMetrics> metrics;
-  int transfers_total = 0;
-  std::int64_t particles = 0;
-  std::int64_t final_particles = 0;  // the engine's count after the last step
-  int total_cells = 0;
-  // Fault-tolerance accounting over the whole run:
-  std::uint64_t retransmissions_total = 0;
-  std::uint64_t recv_timeouts_total = 0;
-  // Self-healing accounting over the whole run:
-  std::uint64_t checkpoint_bytes_total = 0;
-  std::uint64_t rollbacks_total = 0;
-  std::uint64_t failovers_total = 0;
-  std::uint64_t particles_recovered_total = 0;
-  int checkpoints_taken = 0;
-  sim::Buffer last_checkpoint;  // empty unless checkpoint_every > 0
-};
-
-MdTrajectoryResult run_md_trajectory(const MdTrajectoryConfig& config);
 
 }  // namespace pcmd::theory

@@ -42,7 +42,8 @@ SyntheticBalanceResult run_synthetic_balance(
   const Box box = Box::cubic(k * config.cutoff);
   const md::CellGrid grid(box, k, k, k);
   const workload::ConcentratingWorkload workload(config.workload, box);
-  const core::DlbProtocol protocol(layout, config.dlb);
+  const auto balancer = ddm::make_balancer(
+      layout, config.dlb, ddm::BalancerConfig{.kind = config.balancer});
 
   core::ColumnMap map(layout);
   std::vector<double> previous_times(layout.pe_count(), 0.0);
@@ -133,7 +134,8 @@ SyntheticBalanceResult run_synthetic_balance(
     // The DLB round: every PE decides against the same (consistent) view
     // using the previous step's times, then all transfers apply at once —
     // the same semantics as the SPMD engine's announcement phase.
-    if (config.dlb_enabled && step % config.dlb.interval == 0) {
+    if (config.balancer != ddm::BalancerKind::kNone &&
+        step % config.dlb.interval == 0) {
       std::vector<core::DlbDecision> decisions;
       decisions.reserve(layout.pe_count());
       const auto& times =
@@ -144,7 +146,7 @@ SyntheticBalanceResult run_synthetic_balance(
         for (const int nb : layout.pe_torus().neighbors8(rank)) {
           nt.neighbor_times.push_back(times[nb]);
         }
-        decisions.push_back(protocol.decide(
+        decisions.push_back(balancer->decide(
             rank, map, nt, [&](int col) { return column_cost[col]; }));
       }
       for (const auto& d : decisions) {

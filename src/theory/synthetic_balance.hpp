@@ -7,12 +7,14 @@
 // exact dynamics. This simulator scripts the particle distribution with the
 // ConcentratingWorkload, models each PE's force-computation time from the
 // cell occupancy (n_c * sum of stencil occupancies — the exact pair-check
-// count of the paper's force loop), and runs the identical DlbProtocol on
-// top. The full-MD path (ParallelMd) validates the shortcut at small scale;
-// see tests/theory/effective_range_test.cpp and bench/fig10 --full.
+// count of the paper's force loop), and runs the engine's own balancer
+// (ddm::make_balancer) on top. The full-MD path (ParallelMd) validates the
+// shortcut at small scale; see tests/run/trajectory_test.cpp and
+// bench/fig10 --full.
 #pragma once
 
 #include "core/dlb_protocol.hpp"
+#include "ddm/balancer.hpp"
 #include "theory/concentration.hpp"
 #include "workload/synthetic.hpp"
 
@@ -31,7 +33,8 @@ struct SyntheticBalanceConfig {
   double progress_end = 1.0;
   workload::SyntheticConfig workload;
   core::DlbConfig dlb;
-  bool dlb_enabled = true;
+  // The policy, as in ParallelMdConfig; kNone makes no decision at all.
+  ddm::BalancerKind balancer = ddm::BalancerKind::kPermanent;
 };
 
 struct SyntheticStepRecord {

@@ -72,4 +72,14 @@ std::uint32_t crc32(const void* data, std::size_t size) {
   return crc32(data, size, 0);
 }
 
+std::uint64_t fnv1a64(const void* data, std::size_t size,
+                      std::uint64_t hash) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < size; ++i) {
+    hash ^= bytes[i];
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
 }  // namespace pcmd

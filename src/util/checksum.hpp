@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
 
 namespace pcmd {
 
@@ -15,5 +16,15 @@ std::uint32_t crc32(const void* data, std::size_t size);
 // Incremental variant: feed the previous return value back as `seed` to
 // checksum scattered ranges as one logical stream.
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed);
+
+// FNV-1a 64, the serve layer's identity digest (job specs, submission texts,
+// trajectories), of `size` bytes at `data`, continuing from `hash`: feed the
+// previous return value back to digest scattered ranges as one stream.
+constexpr std::uint64_t kFnv1a64Basis = 14695981039346656037ULL;
+std::uint64_t fnv1a64(const void* data, std::size_t size,
+                      std::uint64_t hash = kFnv1a64Basis);
+inline std::uint64_t fnv1a64(std::string_view text) {
+  return fnv1a64(text.data(), text.size());
+}
 
 }  // namespace pcmd

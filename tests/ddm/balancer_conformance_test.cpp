@@ -38,7 +38,6 @@ ParallelMdConfig conformance_config(BalancerKind kind) {
   config.m = 2;
   config.cutoff = 2.5;
   config.dt = 0.004;
-  config.dlb_enabled = true;
   // Smooth deterministic virtual times can park the strict paper protocol
   // on an unhelpable PE_fast; fallback mode keeps the battery's runs busy.
   config.dlb.fallback_to_helpable = true;

@@ -17,7 +17,7 @@ ParallelMdConfig small_config(bool dlb = false) {
   config.m = 2;
   config.cutoff = 2.5;
   config.dt = 0.004;
-  config.dlb_enabled = dlb;
+  config.balancer.kind = dlb ? BalancerKind::kPermanent : BalancerKind::kNone;
   return config;
 }
 
@@ -283,7 +283,7 @@ TEST(ParallelMd, LargerConfigurationRuns) {
   ParallelMdConfig config;
   config.pe_side = 4;
   config.m = 3;
-  config.dlb_enabled = true;
+  config.balancer.kind = BalancerKind::kPermanent;
   const Box box = Box::cubic(30.0);
   pcmd::Rng rng(2);
   workload::GasConfig gas;

@@ -62,9 +62,8 @@ TEST_P(ParitySweep, ParallelMatchesSerialBitwise) {
   config.pe_side = param.pe_side;
   config.m = param.m;
   config.dt = 0.004;
-  config.dlb_enabled = param.dlb;
   config.dlb.fallback_to_helpable = param.dlb;  // exercise both code paths
-  config.balancer.kind = param.balancer;
+  config.balancer.kind = param.dlb ? param.balancer : BalancerKind::kNone;
 
   std::unique_ptr<sim::Engine> engine;
   if (param.thread_backend) {

@@ -2,6 +2,7 @@
 // generation through the SPMD engine to the Section 4 analysis machinery.
 #include "ddm/parallel_md.hpp"
 #include "md/serial_md.hpp"
+#include "run/trajectory.hpp"
 #include "support/test_workloads.hpp"
 #include "theory/bounds.hpp"
 #include "theory/effective_range.hpp"
@@ -20,11 +21,10 @@ TEST(Pipeline, PaperSystemThroughParallelEngineAndAnalysis) {
   spec.density = 0.384;
   spec.seed = 21;
 
-  theory::MdTrajectoryConfig config;
-  config.spec = spec;
-  config.steps = 60;
-  config.dlb_enabled = true;
-  const auto result = theory::run_md_trajectory(config);
+  run::RunSpec run_spec;
+  run_spec.system = spec;
+  run_spec.steps = 60;
+  const auto result = run::run_md_trajectory(run_spec);
 
   ASSERT_EQ(result.t_step.size(), 60u);
   ASSERT_EQ(result.concentration.size(), 60u);
@@ -44,15 +44,14 @@ TEST(Pipeline, PaperSystemThroughParallelEngineAndAnalysis) {
 }
 
 TEST(Pipeline, ParallelRunIsReproducible) {
-  theory::MdTrajectoryConfig config;
-  config.spec.pe_count = 9;
-  config.spec.m = 2;
-  config.spec.density = 0.256;
-  config.spec.seed = 33;
-  config.steps = 40;
-  config.dlb_enabled = true;
-  const auto a = theory::run_md_trajectory(config);
-  const auto b = theory::run_md_trajectory(config);
+  const auto spec = run::RunSpec{}
+                        .with_pe_count(9)
+                        .with_m(2)
+                        .with_density(0.256)
+                        .with_seed(33)
+                        .with_steps(40);
+  const auto a = run::run_md_trajectory(spec);
+  const auto b = run::run_md_trajectory(spec);
   for (std::size_t i = 0; i < a.t_step.size(); ++i) {
     EXPECT_EQ(a.t_step[i], b.t_step[i]) << "step " << i;
     EXPECT_EQ(a.f_max[i], b.f_max[i]);
@@ -74,7 +73,7 @@ TEST(Pipeline, GatheredParticlesFeedClusterAnalysis) {
   ddm::ParallelMdConfig config;
   config.pe_side = 3;
   config.m = 2;
-  config.dlb_enabled = true;
+  config.balancer.kind = ddm::BalancerKind::kPermanent;
   ddm::ParallelMd md(engine, spec.box(), initial, config);
   md.run(30);
 
@@ -123,7 +122,7 @@ TEST(Pipeline, ThreadBackendRunsFullMdConfiguration) {
   ddm::ParallelMdConfig config;
   config.pe_side = 4;
   config.m = 2;
-  config.dlb_enabled = true;
+  config.balancer.kind = ddm::BalancerKind::kPermanent;
   config.rescale_temperature = spec.temperature;
   ddm::ParallelMd md(engine, spec.box(), initial, config);
   const auto stats = md.run(20);
@@ -169,7 +168,8 @@ TEST(Pipeline, DlbWinsOnConcentratedLoadEndToEnd) {
     ddm::ParallelMdConfig config;
     config.pe_side = 3;
     config.m = 2;
-    config.dlb_enabled = dlb;
+    config.balancer.kind =
+        dlb ? ddm::BalancerKind::kPermanent : ddm::BalancerKind::kNone;
     // The lattice is perfectly symmetric, so the cold PEs tie exactly and
     // the strict protocol deterministically parks on an unhelpable PE_fast;
     // fallback mode exists for exactly this (see DlbConfig).

@@ -21,7 +21,7 @@ TEST(Umbrella, WholeStackSmoke) {
   ddm::ParallelMdConfig config;
   config.pe_side = spec.pe_side();
   config.m = spec.m;
-  config.dlb_enabled = true;
+  config.balancer.kind = ddm::BalancerKind::kPermanent;
   ddm::ParallelMd md(engine, spec.box(), initial, config);
   const auto stats = md.run(5);
 

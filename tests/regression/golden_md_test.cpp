@@ -9,8 +9,8 @@
 // the change is correct.
 #include "ddm/slab_md.hpp"
 #include "obs/metrics.hpp"
+#include "run/trajectory.hpp"
 #include "support/test_workloads.hpp"
-#include "theory/effective_range.hpp"
 
 #include <gtest/gtest.h>
 
@@ -19,18 +19,17 @@
 #include <cstdio>
 #include <numeric>
 
-namespace pcmd::theory {
+namespace pcmd::run {
 namespace {
 
-MdTrajectoryConfig golden_config() {
-  MdTrajectoryConfig config;
-  config.spec.pe_count = 9;
-  config.spec.m = 2;
-  config.spec.density = 0.384;
-  config.spec.seed = 7;
-  config.steps = 60;
-  config.dlb_enabled = true;
-  return config;
+RunSpec golden_config() {
+  return RunSpec{}
+      .with_pe_count(9)
+      .with_m(2)
+      .with_density(0.384)
+      .with_seed(7)
+      .with_steps(60)
+      .with_balancer(ddm::BalancerKind::kPermanent);
 }
 
 struct GoldenSummary {
@@ -75,6 +74,23 @@ TEST(GoldenMd, SummaryMatchesCommittedGoldens) {
   expect_near_rel(s.mean_spread, kGoldenMeanSpread, "Fmax-Fmin spread");
 }
 
+// The same run with no balancer, which skips phase B's decision. The DLB
+// run above never moves a column in its 60 steps, so these equal its
+// goldens.
+constexpr double kGoldenDdmTotalEnergy = -1549.2539981889756;
+constexpr double kGoldenDdmMakespan = 2.4124106266666625;
+constexpr double kGoldenDdmMeanSpread = 0.0071342249999999958;
+
+TEST(GoldenMd, DdmRunMatchesCommittedGoldens) {
+  const auto result = run_md_trajectory(
+      golden_config().with_balancer(ddm::BalancerKind::kNone));
+  ASSERT_EQ(result.metrics.size(), 60u);
+  const auto s = summarize(result);
+  expect_near_rel(s.final_total_energy, kGoldenDdmTotalEnergy, "energy");
+  expect_near_rel(s.makespan, kGoldenDdmMakespan, "makespan");
+  expect_near_rel(s.mean_spread, kGoldenDdmMeanSpread, "Fmax-Fmin spread");
+}
+
 TEST(GoldenMd, MetricsRowsMirrorAdHocSeries) {
   // The CSV metrics path must carry exactly the numbers the ad-hoc vectors
   // (the pre-observability outputs) carry — bitwise, not approximately.
@@ -116,11 +132,17 @@ TEST(GoldenMd, RunIsBitwiseReproducible) {
 // form. Run with --gtest_also_run_disabled_tests (or filter *PrintActuals*)
 // to regenerate the constants above after an intentional change.
 TEST(GoldenMd, DISABLED_PrintActuals) {
-  const auto s = summarize(run_md_trajectory(golden_config()));
-  std::printf("constexpr double kGoldenTotalEnergy = %.17g;\n",
-              s.final_total_energy);
-  std::printf("constexpr double kGoldenMakespan = %.17g;\n", s.makespan);
-  std::printf("constexpr double kGoldenMeanSpread = %.17g;\n", s.mean_spread);
+  const auto print = [](const char* run, const GoldenSummary& s) {
+    std::printf("constexpr double kGolden%sTotalEnergy = %.17g;\n", run,
+                s.final_total_energy);
+    std::printf("constexpr double kGolden%sMakespan = %.17g;\n", run,
+                s.makespan);
+    std::printf("constexpr double kGolden%sMeanSpread = %.17g;\n", run,
+                s.mean_spread);
+  };
+  print("", summarize(run_md_trajectory(golden_config())));
+  print("Ddm", summarize(run_md_trajectory(
+                   golden_config().with_balancer(ddm::BalancerKind::kNone))));
 }
 
 // ---- SlabMd, the 1-D boundary-shift baseline ----
@@ -199,4 +221,4 @@ TEST(GoldenSlab, DISABLED_PrintActuals) {
 }
 
 }  // namespace
-}  // namespace pcmd::theory
+}  // namespace pcmd::run

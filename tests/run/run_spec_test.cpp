@@ -1,8 +1,11 @@
 // run::RunSpec parser battery: every legacy flag spelling the harnesses used
 // to parse by hand must keep working through the shared parser, malformed
 // values must throw naming flag + token + grammar (the PR-4 house style),
-// and unknown flags must be hard errors via require_all_flags_consumed.
+// and unknown flags must be hard errors via require_all_flags_consumed. The
+// last section runs specs end to end through run_md_trajectory.
 #include "run/run_spec.hpp"
+
+#include "run/trajectory.hpp"
 
 #include <gtest/gtest.h>
 
@@ -72,7 +75,7 @@ TEST(RunSpecParser, DefaultsSurviveEmptyCommandLine) {
   EXPECT_DOUBLE_EQ(spec.system.density, 0.256);
   EXPECT_EQ(spec.system.seed, 42u);
   EXPECT_EQ(spec.steps, 100);
-  EXPECT_TRUE(spec.dlb_enabled);
+  EXPECT_EQ(spec.balancer.kind, ddm::BalancerKind::kPermanent);
   EXPECT_FALSE(spec.degrade.has_value());
   EXPECT_FALSE(spec.trace_path.has_value());
   EXPECT_TRUE(spec.faults.empty());
@@ -97,12 +100,18 @@ TEST(RunSpecParser, CoreNumericFlagsBothSpellings) {
 }
 
 TEST(RunSpecParser, DlbToggleSpellings) {
-  EXPECT_FALSE(parse({"--dlb=0"}).dlb_enabled);
-  EXPECT_FALSE(parse({"--dlb", "false"}).dlb_enabled);
-  EXPECT_TRUE(parse({"--dlb=1"}).dlb_enabled);
-  RunSpec off;
-  off.dlb_enabled = false;
-  EXPECT_TRUE(parse({"--dlb", "yes"}, off).dlb_enabled);
+  // --dlb 0 is the old spelling of --balancer none, whatever --balancer
+  // says; --dlb 1 keeps the --balancer policy.
+  EXPECT_EQ(parse({"--dlb=0"}).balancer.kind, ddm::BalancerKind::kNone);
+  EXPECT_EQ(parse({"--dlb", "false"}).balancer.kind,
+            ddm::BalancerKind::kNone);
+  EXPECT_EQ(parse({"--dlb", "0", "--balancer", "rescale"}).balancer.kind,
+            ddm::BalancerKind::kNone);
+  EXPECT_EQ(parse({"--balancer=diffusion", "--dlb=0"}).balancer.kind,
+            ddm::BalancerKind::kNone);
+  EXPECT_EQ(parse({"--dlb=1"}).balancer.kind, ddm::BalancerKind::kPermanent);
+  EXPECT_EQ(parse({"--dlb", "yes", "--balancer", "diffusion"}).balancer.kind,
+            ddm::BalancerKind::kDiffusion);
 }
 
 TEST(RunSpecParser, BalancerFlagSelectsPolicy) {
@@ -171,6 +180,18 @@ TEST(RunSpecParser, NegativeCheckpointEveryRejected) {
                   {"--checkpoint-every", "'-4'"});
 }
 
+// A negative seed used to wrap to a 20-digit uint64 whose canonical job
+// text no longer parses, and an --m past int range to a small valid m
+// (4294967298 ran as m = 2).
+TEST(RunSpecParser, WrappingSeedAndMRejected) {
+  expect_rejected([] { (void)parse({"--seed", "-1"}); },
+                  {"--seed", "'-1'", "out of range"});
+  expect_rejected([] { (void)parse({"--m", "4294967298"}); },
+                  {"--m", "'4294967298'", "out of range"});
+  expect_rejected([] { (void)parse({"--m=-4294967294"}); },
+                  {"--m", "'-4294967294'", "out of range"});
+}
+
 TEST(RunSpecParser, DegradeSpecWithDefaultAndExplicitFactor) {
   const auto spec = parse({"--degrade", "rank=4,at=0.05"});
   ASSERT_TRUE(spec.degrade.has_value());
@@ -204,7 +225,7 @@ TEST(RunSpecParser, ParallelConfigMirrorsSystemSpec) {
   const auto config = spec.parallel_config();
   EXPECT_EQ(config.pe_side, 3);
   EXPECT_EQ(config.m, 4);
-  EXPECT_FALSE(config.dlb_enabled);
+  EXPECT_EQ(config.balancer.kind, ddm::BalancerKind::kNone);
   EXPECT_DOUBLE_EQ(config.cutoff, spec.system.cutoff);
   EXPECT_DOUBLE_EQ(config.dt, spec.system.dt);
 }
@@ -216,7 +237,6 @@ TEST(RunSpecParser, BuildersChain) {
                            .with_density(0.384)
                            .with_seed(9)
                            .with_steps(1200)
-                           .with_dlb(false)
                            .with_balancer(ddm::BalancerKind::kDiffusion)
                            .with_checkpoint_every(25)
                            .with_trace("out/x");
@@ -225,7 +245,6 @@ TEST(RunSpecParser, BuildersChain) {
   EXPECT_DOUBLE_EQ(spec.system.density, 0.384);
   EXPECT_EQ(spec.system.seed, 9u);
   EXPECT_EQ(spec.steps, 1200);
-  EXPECT_FALSE(spec.dlb_enabled);
   EXPECT_EQ(spec.balancer.kind, ddm::BalancerKind::kDiffusion);
   EXPECT_EQ(spec.checkpoint_every, 25);
   ASSERT_TRUE(spec.trace_path.has_value());
@@ -283,6 +302,74 @@ TEST(RunSpecParser, MalformedNumericsRejected) {
 TEST(RunSpecParser, MalformedFaultPlanRejected) {
   expect_rejected([] { (void)parse({"--faults", "drop=lots"}); },
                   {"drop=lots"});
+}
+
+// ---- run_md_trajectory: a RunSpec end to end ---------------------------
+
+TEST(RunMdTrajectory, SmallSmoke) {
+  const auto spec = RunSpec{}
+                        .with_pe_count(9)
+                        .with_m(2)
+                        .with_density(0.256)
+                        .with_seed(5)
+                        .with_steps(20);
+  const auto result = run_md_trajectory(spec);
+  EXPECT_EQ(result.t_step.size(), 20u);
+  EXPECT_EQ(result.f_max.size(), 20u);
+  EXPECT_EQ(result.concentration.size(), 20u);
+  EXPECT_EQ(result.total_cells, 216);
+  EXPECT_GT(result.particles, 800);
+  for (std::size_t i = 0; i < 20; ++i) {
+    EXPECT_GE(result.f_max[i], result.f_min[i]);
+    EXPECT_GT(result.t_step[i], 0.0);
+  }
+}
+
+TEST(RunMdTrajectory, SelfHealingRunsOnItsSpareRank) {
+  // The engine must hold the spare pool on top of the P roles, or
+  // ParallelMd rejects its rank count. Rank 4 dies in step 3, after the
+  // first buddy replication, so the spare takes over its role and the
+  // buddy copy brings back its particles.
+  auto spec = RunSpec{}
+                  .with_pe_count(9)
+                  .with_m(2)
+                  .with_density(0.256)
+                  .with_seed(5)
+                  .with_steps(6)
+                  .with_faults(sim::FaultPlan::parse("seed=1,crash=4@0.05"));
+  spec.fault_tolerance.healing.enabled = true;
+  spec.fault_tolerance.healing.buddy_every = 2;
+  spec.fault_tolerance.healing.spares = 1;
+  const auto result = run_md_trajectory(spec);
+  EXPECT_EQ(result.t_step.size(), 6u);
+  EXPECT_EQ(result.failovers_total, 1u);
+  EXPECT_EQ(result.final_particles, result.particles);
+}
+
+TEST(RunMdTrajectory, DlbOverheadBoundedOnBalancedGas) {
+  // Over a short horizon the supercooled gas is still near-uniform, so DLB
+  // can only add overhead (messages plus one-column granularity churn — the
+  // paper's Fig. 5(b) likewise shows DLB-DDM slightly above DDM while the
+  // load is balanced, m = 2 being its weakest case). The overhead must stay
+  // bounded; the long-horizon win is exercised by bench/fig5 and the
+  // concentrated-load tests.
+  const auto base = RunSpec{}
+                        .with_pe_count(9)
+                        .with_m(2)
+                        .with_density(0.384)
+                        .with_seed(9)
+                        .with_steps(120);
+
+  const auto a = run_md_trajectory(
+      RunSpec(base).with_balancer(ddm::BalancerKind::kPermanent));
+  const auto b =
+      run_md_trajectory(RunSpec(base).with_balancer(ddm::BalancerKind::kNone));
+  double sum_a = 0.0, sum_b = 0.0;
+  for (std::size_t i = 100; i < 120; ++i) {
+    sum_a += a.t_step[i];
+    sum_b += b.t_step[i];
+  }
+  EXPECT_LE(sum_a, sum_b * 1.35);
 }
 
 }  // namespace

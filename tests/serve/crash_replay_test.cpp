@@ -236,19 +236,23 @@ TEST(CrashReplay, RepeatedCrashesStillConverge) {
 }
 
 TEST(CrashReplay, CheckpointStopHandsTheQueueToTheNextScheduler) {
-  // Control: the same four jobs, uninterrupted.
+  // Control: the same four jobs, uninterrupted. Both runs also submit a
+  // seed that used to wrap to 2^64 - 1, whose pending canonical text made
+  // the successor's recover() throw; it is a malformed record now.
   const std::vector<std::string> jobs = {
       "--pe 9 --m 2 --density 0.2 --steps 60 --seed 91 --priority low",
       "--pe 9 --m 2 --density 0.2 --steps 6 --seed 92",
       "--pe 9 --m 2 --density 0.2 --steps 6 --seed 93 --engine thread",
       "--pe 9 --m 2 --density 0.2 --steps 8 --seed 94",
   };
+  const std::string wrapping = "--pe 9 --m 2 --steps 3 --seed -1";
   const auto control_path = temp_path("ckstop_control.jsonl");
   std::remove(control_path.c_str());
   {
     ResultStore store(control_path, FlushMode::kOnCompact);
     Scheduler scheduler({}, store);
     for (const auto& text : jobs) scheduler.submit(text);
+    scheduler.submit(wrapping);
     scheduler.drain();
   }
   const std::string control_bytes = slurp(control_path);
@@ -284,6 +288,7 @@ TEST(CrashReplay, CheckpointStopHandsTheQueueToTheNextScheduler) {
       std::unique_lock<std::mutex> lock(gate_mutex);
       gate_cv.wait(lock, [&] { return held >= 1; });
     }
+    EXPECT_EQ(scheduler.submit(wrapping).admission, Admission::kMalformed);
     std::thread stopper([&] { scheduler.stop(StopMode::kCheckpoint); });
     {
       const std::lock_guard<std::mutex> lock(gate_mutex);
@@ -291,7 +296,8 @@ TEST(CrashReplay, CheckpointStopHandsTheQueueToTheNextScheduler) {
     }
     gate_cv.notify_all();
     stopper.join();
-    EXPECT_EQ(store.size(), 0u) << "nothing may complete before the stop";
+    EXPECT_EQ(store.size(), 1u) << "only the malformed record may land "
+                                   "before the stop";
 
     // Successor: same files, fresh scheduler. Everything resumes.
     ResultStore store2(store_path, FlushMode::kOnCompact);

@@ -79,6 +79,61 @@ TEST(JobSpec, PriorityDoesNotChangeTheDigestButPhysicsDoes) {
             JobSpec::parse("--pe 9 --m 2 --steps 10 --seed 4").digest());
 }
 
+TEST(JobSpec, DdmSpellingsShareOneDigest) {
+  // DDM has one setting, --balancer none, so one store key however it is
+  // spelled.
+  const std::string base = "--pe 9 --m 2 --density 0.2 --steps 6 --seed 3";
+  const auto none = JobSpec::parse(base + " --balancer none");
+  EXPECT_EQ(none.canonical().find("--dlb"), std::string::npos);
+  for (const char* spelling : {" --dlb 0", " --dlb 0 --balancer none",
+                               " --dlb 0 --balancer rescale"}) {
+    const auto job = JobSpec::parse(base + spelling);
+    EXPECT_EQ(job.canonical(), none.canonical()) << spelling;
+    EXPECT_EQ(job.digest(), none.digest()) << spelling;
+  }
+}
+
+TEST(JobSpec, ParentCanonicalFormsStillParse) {
+  // Canonical texts as journals hold them from before --dlb and --recovery
+  // left the canonical form: each parses to the policy and the healing
+  // setting it meant, so those journals replay.
+  const std::string head =
+      "--pe 9 --m 2 --density 0.20000000000000001 --seed 3 --steps 6 --dlb ";
+  const std::string tail =
+      " --checkpoint-every 0 --buddy-every 0 --spares 0 --recovery 0 "
+      "--deadline 0 --engine seq";
+  const std::pair<const char*, ddm::BalancerKind> policies[] = {
+      {"1 --balancer permanent", ddm::BalancerKind::kPermanent},
+      {"1 --balancer none", ddm::BalancerKind::kNone},
+      {"0 --balancer permanent", ddm::BalancerKind::kNone},
+      {"0 --balancer rescale", ddm::BalancerKind::kNone},
+  };
+  for (const auto& [middle, kind] : policies) {
+    const auto job = JobSpec::parse_flags(head + middle + tail);
+    EXPECT_EQ(job.run.balancer.kind, kind) << middle;
+    EXPECT_FALSE(job.run.healing_enabled()) << middle;
+  }
+  // --recovery 1 is self-healing every 10 steps with no spares.
+  EXPECT_EQ(JobSpec::parse_flags(
+                "--pe 9 --m 2 --density 0.25600000000000001 --seed 12345 "
+                "--steps 8 --dlb 1 --balancer permanent --checkpoint-every 0 "
+                "--buddy-every 0 --spares 0 --recovery 1 --deadline 0.25 "
+                "--engine seq")
+                .canonical(),
+            JobSpec::parse("--pe 9 --m 2 --steps 8 --buddy-every 10 "
+                           "--spares 0 --deadline 0.25")
+                .canonical());
+  EXPECT_EQ(JobSpec::parse_flags(
+                head + "1 --balancer permanent --faults seed=1,crash=4@0 "
+                       "--checkpoint-every 0 --buddy-every 3 --spares 1 "
+                       "--recovery 0 --deadline 0 --engine seq")
+                .canonical(),
+            JobSpec::parse("--pe 9 --m 2 --density 0.2 --seed 3 --steps 6 "
+                           "--faults seed=1,crash=4@0 --buddy-every 3 "
+                           "--spares 1")
+                .canonical());
+}
+
 TEST(JobSpec, FamilyDigestBytesArePinned) {
   // The circuit breaker keys families by this digest in the store, so its
   // value for a given text must never drift. Includes the edge cases of the
@@ -130,6 +185,18 @@ TEST(JobSpec, MalformedFlagsThrowNamingFlagAndToken) {
   expect_rejected([] { JobSpec::parse("--no-such-flag 1"); },
                   {"--no-such-flag"});
   expect_rejected([] { JobSpec::parse("--faults seed=x"); }, {"--faults"});
+}
+
+TEST(JobSpec, IntegersThatWouldWrapAreRejected) {
+  // These used to wrap: --pe 4294967305 ran pe = 9, --m 4294967298 ran
+  // m = 2, and --seed -1 became 2^64 - 1, whose canonical text does not
+  // re-parse.
+  expect_rejected([] { JobSpec::parse("--pe 4294967305 --m 2"); },
+                  {"--pe", "'4294967305'", "out of range"});
+  expect_rejected([] { JobSpec::parse("--pe 9 --m 4294967298"); },
+                  {"--m", "'4294967298'", "out of range"});
+  expect_rejected([] { JobSpec::parse("{\"pe\": 9, \"seed\": -1}"); },
+                  {"--seed", "'-1'", "out of range"});
 }
 
 TEST(JobSpec, MalformedJsonThrowsNamingByteOffset) {

@@ -148,6 +148,20 @@ TEST(PreemptResume, SchedulerEvictionLeavesTerminalRecordsSoloIdentical) {
   EXPECT_EQ(high->trajectory_digest, expected);
 }
 
+TEST(Runner, TrajectoryDigestIsPinned) {
+  // FNV-1a 64 over the id-sorted final particles' id, position and
+  // velocity bytes. Balancing relabels ownership only, so DDM and DLB-DDM
+  // land on the same trajectory and the same digest.
+  for (const char* policy : {"", " --balancer none"}) {
+    const auto job = JobSpec::parse(
+        std::string("--pe 9 --m 2 --density 0.2 --steps 6 --seed 3") +
+        policy);
+    const auto result = run_attempt(job, AttemptContext{});
+    ASSERT_EQ(result.status, AttemptStatus::kCompleted) << result.error;
+    EXPECT_EQ(result.trajectory_digest, 0x3bd4595b5306e7a8ULL) << policy;
+  }
+}
+
 TEST(PreemptResume, NonPreemptibleJobsIgnoreTheEvictionFlag) {
   const auto job = JobSpec::parse(
       "--pe 9 --m 2 --density 0.2 --steps 8 --seed 36 "

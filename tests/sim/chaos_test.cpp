@@ -6,8 +6,9 @@
 //   (b) the reliable channel masks every transient fault — the physics of a
 //       faulty run equals the fault-free golden bitwise;
 //   (c) checkpoint -> kill -> restart equals the uninterrupted run bitwise,
-//       and a permanent crash degrades gracefully (survivors adopt the dead
-//       rank's permanent cells and keep stepping).
+//       and a permanent crash heals: the buddy replica brings the dead
+//       rank's particles back, on a spare or onto the survivors that adopt
+//       its permanent cells.
 #include "ddm/parallel_md.hpp"
 #include "md/checkpoint.hpp"
 #include "md/serial_md.hpp"
@@ -37,7 +38,7 @@ ParallelMdConfig chaos_config(bool dlb = false) {
   config.dt = 0.004;
   config.rescale_temperature = 0.722;  // thermostat: schedule must survive
   config.rescale_interval = 10;        // restarts (fires inside short runs)
-  config.dlb_enabled = dlb;
+  config.balancer.kind = dlb ? BalancerKind::kPermanent : BalancerKind::kNone;
   return config;
 }
 
@@ -357,64 +358,6 @@ TEST(Chaos, SerialCheckpointRoundTripsAndResumesBitwise) {
                            "serial resume");
 }
 
-TEST(Chaos, PermanentCrashDegradesGracefully) {
-  // Rank 4 (the centre of the 3x3 torus — a neighbour of everyone) dies
-  // mid-run. Survivors must detect the silence, adopt its permanent cells
-  // and keep stepping; its particles are lost (documented degradation), but
-  // the survivor count and ownership stay consistent forever after.
-  sim::FaultInjector injector(sim::FaultPlan::parse("crash=4@0.02"));
-  sim::SeqEngine engine(9);
-  engine.set_fault_injector(&injector);
-
-  ParallelMdConfig config = chaos_config(/*dlb=*/true);
-  config.fault_tolerance.reliable = true;
-  config.fault_tolerance.recovery = true;
-  ParallelMd md(engine, chaos_box(), chaos_gas(), config);
-
-  std::int64_t particles_before = 0;
-  std::int64_t particles_after = -1;
-  bool crash_seen = false;
-  for (int i = 0; i < 40; ++i) {
-    const auto stats = md.step();
-    ASSERT_TRUE(std::isfinite(stats.potential_energy)) << "step " << i;
-    if (stats.live_ranks == 9) {
-      ASSERT_FALSE(crash_seen) << "a dead rank cannot come back";
-      particles_before = stats.total_particles;
-    } else {
-      ASSERT_EQ(stats.live_ranks, 8);
-      if (!crash_seen) {
-        // Detection step: the dead rank's final contribution may still be
-        // in flight, so the loss can land here or one step later. From the
-        // step after this one the survivor population must be closed.
-        crash_seen = true;
-      } else if (particles_after < 0) {
-        particles_after = stats.total_particles;
-        EXPECT_LT(particles_after, particles_before)
-            << "the dead rank's particles are lost by design";
-      } else {
-        EXPECT_EQ(stats.total_particles, particles_after)
-            << "survivors lost particles after the recovery at step " << i;
-      }
-    }
-  }
-  ASSERT_TRUE(crash_seen) << "rank 4 never crashed — crash time too late?";
-  ASSERT_GE(particles_after, 0) << "run ended before recovery settled";
-  EXPECT_FALSE(engine.alive(4));
-  EXPECT_EQ(engine.alive_count(), 8);
-
-  // Every live rank's ownership view has walked rank 4's columns to a
-  // survivor, and the global view is consistent.
-  const auto report = md.check_ownership();
-  EXPECT_TRUE(report.ok) << (report.violations.empty()
-                                 ? ""
-                                 : report.violations.front());
-  for (int r = 0; r < 9; ++r) {
-    if (r == 4) continue;
-    EXPECT_TRUE(md.column_map_view(r).columns_of(4).empty())
-        << "rank " << r << " still thinks rank 4 owns columns";
-  }
-}
-
 // ---- self-healing battery: buddy checkpoints, spare failover, watchdog ----
 
 ParallelMdConfig healing_config(int buddy_every, int spares,
@@ -433,6 +376,7 @@ struct HealResult {
   int epoch = 0;
   int alive_roles = 0;
   bool ownership_ok = false;
+  std::vector<core::ColumnMap> views;  // each role's ownership view
 };
 
 HealResult run_healing(sim::Engine& engine, const std::string& plan_spec,
@@ -450,6 +394,9 @@ HealResult run_healing(sim::Engine& engine, const std::string& plan_spec,
   result.epoch = md.membership().epoch();
   result.alive_roles = md.membership().alive_roles();
   result.ownership_ok = md.check_ownership().ok;
+  for (int role = 0; role < md.layout().pe_count(); ++role) {
+    result.views.push_back(md.column_map_view(role));
+  }
   engine.set_fault_injector(nullptr);
   return result;
 }
@@ -558,9 +505,9 @@ TEST(SelfHealing, CrashAtEveryStepSweepConservesEverything) {
 
 TEST(SelfHealing, RetireWithoutSparesStillConservesParticles) {
   // No spare left: the dead role retires and survivors adopt its columns.
-  // Unlike PR 3's degraded mode the particles are NOT lost — the buddy's
-  // envelope replays them onto the adopters. Bitwise equality cannot hold
-  // on this path (the decomposition changed shape), but conservation must.
+  // The particles are NOT lost — the buddy's envelope replays them onto the
+  // adopters. Bitwise equality cannot hold on this path (the decomposition
+  // changed shape), but conservation must.
   constexpr int kSteps = 25;
   const ParallelMdConfig config = healing_config(/*buddy_every=*/5,
                                                  /*spares=*/0);
@@ -578,6 +525,13 @@ TEST(SelfHealing, RetireWithoutSparesStillConservesParticles) {
   for (const auto& s : r.stats) {
     ASSERT_TRUE(std::isfinite(s.potential_energy));
     EXPECT_EQ(s.total_particles, 300);
+  }
+  // Every survivor's ownership view has walked rank 4's columns to an
+  // adopter.
+  ASSERT_EQ(r.views.size(), 9u);
+  for (int role = 0; role < 9; ++role) {
+    EXPECT_TRUE(role == 4 || r.views[role].columns_of(4).empty())
+        << "rank " << role << " still thinks rank 4 owns columns";
   }
 }
 

@@ -260,35 +260,5 @@ TEST(ReliableChannel, ExhaustionRaisesTypedPeerDeadError) {
   });
 }
 
-TEST(ReliableChannel, PolicyIsReconfigurablePerChannel) {
-  // set_policy takes effect on the *next* send: with the budget widened the
-  // same hopeless link simply costs more attempts before the typed error,
-  // and an intact link succeeds regardless of budget.
-  FaultInjector injector(FaultPlan::parse("seed=5,drop=1"));
-  SeqEngine engine(2);
-  engine.set_fault_injector(&injector);
-  ReliableChannel channel;  // default budget
-  ReliablePolicy tight;
-  tight.max_attempts = 2;
-  tight.base_backoff = 1e-5;
-  channel.set_policy(tight);
-  EXPECT_EQ(channel.policy().max_attempts, 2);
-  engine.run_phase([&](Comm& comm) {
-    if (comm.rank() != 0) return;
-    EXPECT_THROW(channel.send(comm, 1, 4, Buffer{1}), PeerDeadError);
-  });
-  EXPECT_EQ(channel.counters().retransmissions, 1u);  // attempt 2 only
-
-  ReliablePolicy wide = tight;
-  wide.max_attempts = 6;
-  channel.set_policy(wide);
-  engine.run_phase([&](Comm& comm) {
-    if (comm.rank() != 0) return;
-    EXPECT_THROW(channel.send(comm, 1, 4, Buffer{2}), PeerDeadError);
-  });
-  // 1 (tight, above) + 5 more under the widened budget.
-  EXPECT_EQ(channel.counters().retransmissions, 6u);
-}
-
 }  // namespace
 }  // namespace pcmd::sim

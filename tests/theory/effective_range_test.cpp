@@ -86,76 +86,5 @@ TEST(SyntheticEffectiveRange, MeanRatioIsMeaningful) {
   }
 }
 
-TEST(RunMdTrajectory, SmallSmoke) {
-  MdTrajectoryConfig config;
-  config.spec.pe_count = 9;
-  config.spec.m = 2;
-  config.spec.density = 0.256;
-  config.spec.seed = 5;
-  config.steps = 20;
-  config.dlb_enabled = true;
-  const auto result = run_md_trajectory(config);
-  EXPECT_EQ(result.t_step.size(), 20u);
-  EXPECT_EQ(result.f_max.size(), 20u);
-  EXPECT_EQ(result.concentration.size(), 20u);
-  EXPECT_EQ(result.total_cells, 216);
-  EXPECT_GT(result.particles, 800);
-  for (std::size_t i = 0; i < 20; ++i) {
-    EXPECT_GE(result.f_max[i], result.f_min[i]);
-    EXPECT_GT(result.t_step[i], 0.0);
-  }
-}
-
-TEST(RunMdTrajectory, SelfHealingRunsOnItsSpareRank) {
-  // The engine must hold the spare pool on top of the P roles, or
-  // ParallelMd rejects its rank count. Rank 4 dies in step 3, after the
-  // first buddy replication, so the spare takes over its role and the
-  // buddy copy brings back its particles.
-  MdTrajectoryConfig config;
-  config.spec.pe_count = 9;
-  config.spec.m = 2;
-  config.spec.density = 0.256;
-  config.spec.seed = 5;
-  config.steps = 6;
-  config.faults = sim::FaultPlan::parse("seed=1,crash=4@0.05");
-  config.fault_tolerance.reliable = true;
-  config.fault_tolerance.healing.enabled = true;
-  config.fault_tolerance.healing.buddy_every = 2;
-  config.fault_tolerance.healing.spares = 1;
-  const auto result = run_md_trajectory(config);
-  EXPECT_EQ(result.t_step.size(), 6u);
-  EXPECT_EQ(result.failovers_total, 1u);
-  EXPECT_EQ(result.final_particles, result.particles);
-}
-
-TEST(RunMdTrajectory, DlbOverheadBoundedOnBalancedGas) {
-  // Over a short horizon the supercooled gas is still near-uniform, so DLB
-  // can only add overhead (messages plus one-column granularity churn — the
-  // paper's Fig. 5(b) likewise shows DLB-DDM slightly above DDM while the
-  // load is balanced, m = 2 being its weakest case). The overhead must stay
-  // bounded; the long-horizon win is exercised by bench/fig5 and the
-  // concentrated-load tests.
-  MdTrajectoryConfig base;
-  base.spec.pe_count = 9;
-  base.spec.m = 2;
-  base.spec.density = 0.384;
-  base.spec.seed = 9;
-  base.steps = 120;
-
-  auto with_dlb = base;
-  with_dlb.dlb_enabled = true;
-  auto without = base;
-  without.dlb_enabled = false;
-
-  const auto a = run_md_trajectory(with_dlb);
-  const auto b = run_md_trajectory(without);
-  double sum_a = 0.0, sum_b = 0.0;
-  for (std::size_t i = 100; i < 120; ++i) {
-    sum_a += a.t_step[i];
-    sum_b += b.t_step[i];
-  }
-  EXPECT_LE(sum_a, sum_b * 1.35);
-}
-
 }  // namespace
 }  // namespace pcmd::theory

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 namespace pcmd::theory {
 namespace {
 
@@ -12,7 +14,8 @@ SyntheticBalanceConfig small_config(bool dlb = true) {
   config.steps = 150;
   config.workload.particles = 2000;
   config.workload.seed = 11;
-  config.dlb_enabled = dlb;
+  config.balancer =
+      dlb ? ddm::BalancerKind::kPermanent : ddm::BalancerKind::kNone;
   return config;
 }
 
@@ -71,7 +74,8 @@ TEST(SyntheticBalance, DlbReducesImbalanceDuringConcentration) {
     config.steps = 400;
     config.workload.particles = 6912;  // rho* = 0.256 at K = 12
     config.workload.seed = 11;
-    config.dlb_enabled = dlb;
+    config.balancer =
+        dlb ? ddm::BalancerKind::kPermanent : ddm::BalancerKind::kNone;
     config.dlb.fallback_to_helpable = true;
     const auto result = run_synthetic_balance(config);
     double sum = 0.0;
@@ -91,6 +95,29 @@ TEST(SyntheticBalance, DeterministicForSameSeed) {
   for (std::size_t i = 0; i < a.records.size(); ++i) {
     EXPECT_EQ(a.records[i].f_max, b.records[i].f_max);
     EXPECT_EQ(a.records[i].transfers, b.records[i].transfers);
+  }
+}
+
+TEST(SyntheticBalance, StrictFallbackAndOffRunsArePinned) {
+  // Committed totals (transfers, summed f_max) of small_config() under the
+  // strict paper protocol, with fallback_to_helpable, and with no balancer,
+  // as they were when the simulator called core::DlbProtocol itself.
+  const std::tuple<bool, bool, int, double> pins[] = {
+      {true, false, 404, 4760064.0},
+      {true, true, 577, 4570072.0},
+      {false, false, 0, 4658426.0},
+  };
+  for (const auto& [dlb, fallback, transfers, sum_f_max] : pins) {
+    auto config = small_config(dlb);
+    config.dlb.fallback_to_helpable = fallback;
+    int moved = 0;
+    double f_max = 0.0;
+    for (const auto& r : run_synthetic_balance(config).records) {
+      moved += r.transfers;
+      f_max += r.f_max;
+    }
+    EXPECT_EQ(moved, transfers) << dlb << fallback;
+    EXPECT_EQ(f_max, sum_f_max) << dlb << fallback;
   }
 }
 
