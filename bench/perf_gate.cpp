@@ -5,7 +5,7 @@
 //
 //   serial_md_pps      md::SerialMd step loop, particles*steps per second
 //   seq_engine_pps     ddm::ParallelMd, chaos-free fig5 config, SeqEngine
-//   thread_engine_pps  ddm::SlabMd on ThreadEngine with 8 workers
+//   thread_engine_pps  ddm::SlabMd on ThreadEngine with 8 ranks
 //   fig5_wall_seconds  wall time of the seq fig5 run (lower is better)
 //
 // Every sample is a full fresh run; each metric keeps the best of --repeats
@@ -90,7 +90,8 @@ double run_pillar(const run::RunSpec& spec, sim::Engine& engine) {
   });
 }
 
-// SlabMd on 8 ranks: the "8 workers" ThreadEngine configuration.
+// SlabMd on 8 ranks: the "8 ranks" ThreadEngine configuration, run on
+// min(8, cores) threads.
 double run_slab8(sim::Engine& engine, std::int64_t n, std::int64_t steps) {
   const Box box = Box::cubic(40.0);
   Rng rng(7);

@@ -5,12 +5,14 @@
 //                [--store PATH] [--journal PATH] [--quiet 0|1]
 //
 // Phase 1 generates a deterministic mix — clean runs (flag and JSON
-// grammars), drop-heavy chaos runs, malformed specs, unsurvivable poison
-// jobs (crash before the first buddy generation), deadline-doomed runs and
-// periodic high-priority submissions that preempt running low-priority work
-// — submits all of it and drains. Phase 2 resubmits the identical queue and
-// must answer everything from the result store without re-running a single
-// simulation, leaving the store file byte-for-byte unchanged.
+// grammars), drop-heavy chaos runs, malformed specs, poison jobs (a crash
+// before the first buddy generation, or two crashes with no healing),
+// deadline-doomed runs and periodic high-priority submissions that preempt
+// running low-priority work — submits all of it and drains. Every other
+// clean job and two poison jobs in three run on ThreadEngine. Phase 2
+// resubmits the identical queue and must answer everything from the result
+// store without re-running a single simulation, leaving the store file
+// byte-for-byte unchanged.
 //
 // With --journal the scheduler write-ahead journals every lifecycle event
 // and the store defers its file rewrite to compaction points. The harness
@@ -24,10 +26,12 @@
 //
 // The harness self-checks the service contract and exits non-zero on any
 // violation: every job reaches exactly one terminal state, poison jobs are
-// quarantined after exactly A attempts, malformed specs are archived, clean
+// quarantined with their shape's failure — after exactly A attempts when
+// it is retryable, after one when not — malformed specs are archived, clean
 // jobs succeed first try, and the process survives it all (the run itself
 // is the zero-service-crashes check).
 
+#include "serve/runner.hpp"
 #include "serve/scheduler.hpp"
 #include "util/cli.hpp"
 
@@ -47,6 +51,9 @@ enum class Category { kClean, kChaos, kMalformed, kPoison, kDeadline };
 struct Submission {
   std::string text;
   Category category = Category::kClean;
+  // kPoison: what every attempt fails with. A retryable failure quarantines
+  // after max-attempts attempts, any other after the first.
+  serve::FailureKind failure = serve::FailureKind::kNone;
   std::string key;  // filled at submit time
 };
 
@@ -54,6 +61,9 @@ std::vector<Submission> make_queue(int jobs) {
   std::vector<Submission> queue;
   queue.reserve(jobs);
   const std::string base = "--pe 9 --m 2 --density 0.2 ";
+  // Every other clean job runs on ThreadEngine, so the store and journal
+  // diffs across worker counts cover both engines.
+  int clean_jobs = 0;
   for (int i = 0; i < jobs; ++i) {
     Submission s;
     const int seed = 1000 + i;
@@ -91,28 +101,51 @@ std::vector<Submission> make_queue(int jobs) {
         s.category = Category::kMalformed;
         break;
       }
-      case 8:
-        // Rank 4 dies at virtual t=0, before the first buddy generation
-        // exists: the watchdog cannot heal this, every attempt fails the
-        // same way, and the job lands in quarantine — the poison-job path.
-        s.text = base + "--steps 10 --seed " + std::to_string(seed) +
-                 " --faults seed=1,crash=4@0 --buddy-every 3 --spares 1";
+      case 8: {
+        // Three poison shapes in turn, each failing every attempt the same
+        // way. The first two, on SeqEngine and then ThreadEngine: rank 4
+        // dies at virtual t=0, before the first buddy generation exists, so
+        // the watchdog cannot heal it and every attempt is unsurvivable. The
+        // third: ranks 0 and 4 die with no healing, several ranks of one
+        // phase miss their messages, and the job fails with the lowest such
+        // rank's protocol error, which is not retried. It runs DDM because
+        // under PCMD_CHECKS the DLB ownership check would fail first, on the
+        // driving thread between steps.
+        const std::string head =
+            base + "--steps 10 --seed " + std::to_string(seed);
+        const int shape = i / 10 % 3;
+        if (shape < 2) {
+          s.text = head + " --faults seed=1,crash=4@0 --buddy-every 3 "
+                          "--spares 1" +
+                   (shape == 1 ? " --engine thread" : "");
+          s.failure = serve::FailureKind::kUnsurvivable;
+        } else {
+          s.text = head +
+                   " --balancer none --faults seed=1,crash=4@0.02,crash=0@0.02"
+                   " --engine thread";
+          s.failure = serve::FailureKind::kProtocol;
+        }
         s.category = Category::kPoison;
         break;
+      }
       case 9:
         s.text = base + "--steps 40 --seed " + std::to_string(seed) +
                  " --deadline 1e-9";
         s.category = Category::kDeadline;
         break;
-      default:
+      default: {
+        const bool thread = clean_jobs++ % 2 == 1;
         if (i % 4 == 0) {
           s.text = "{\"pe\": 9, \"m\": 2, \"density\": 0.2, \"steps\": 10, "
-                   "\"seed\": " + std::to_string(seed) + "}";
+                   "\"seed\": " + std::to_string(seed) +
+                   (thread ? ", \"engine\": \"thread\"}" : "}");
         } else {
-          s.text = base + "--steps 10 --seed " + std::to_string(seed);
+          s.text = base + "--steps 10 --seed " + std::to_string(seed) +
+                   (thread ? " --engine thread" : "");
         }
         s.category = Category::kClean;
         break;
+      }
     }
     queue.push_back(std::move(s));
   }
@@ -231,13 +264,16 @@ int main(int argc, char** argv) {
                   !r.error.empty(),
               "malformed spec archived with its parse error: " + s.text);
         break;
-      case Category::kPoison:
+      case Category::kPoison: {
+        const int attempts =
+            serve::failure_is_retryable(s.failure) ? max_attempts : 1;
         check(r.outcome == serve::JobOutcome::kQuarantined &&
-                  r.failure == "unsurvivable" && r.attempts == max_attempts &&
-                  !r.error.empty(),
+                  r.failure == serve::failure_kind_name(s.failure) &&
+                  r.attempts == attempts && !r.error.empty(),
               "poison job quarantined after exactly " +
-                  std::to_string(max_attempts) + " attempts: " + s.text);
+                  std::to_string(attempts) + " attempt(s): " + s.text);
         break;
+      }
       case Category::kDeadline:
         check(r.outcome == serve::JobOutcome::kDeadline && r.steps >= 1,
               "deadline job cancelled by virtual-time budget: " + s.text);

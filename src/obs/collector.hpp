@@ -9,10 +9,12 @@
 //     counters and DLB decisions, emitted by instrumented engines such as
 //     ddm::ParallelMd around their sub-steps (force, halo, migration, DLB).
 //
-// Concurrency: rank r's events are only ever recorded from the execution
-// context running rank r (the engine guarantees this for its hooks; span
-// instrumentation runs inside phase bodies, which satisfy it too), and each
-// rank owns a private ring — so the hot path takes no lock and ThreadEngine
+// Concurrency: rank r's events are only ever recorded from the thread
+// running rank r in the current phase (the engine guarantees this for its
+// hooks; span instrumentation runs inside phase bodies, which satisfy it
+// too). On ThreadEngine that thread can change from phase to phase, but a
+// rank has one runner per phase and the phase barrier orders phases. Each
+// rank owns a private ring, so the hot path takes no lock and ThreadEngine
 // runs record race-free. Span names must be interned *before* the run
 // (interning takes a mutex); the per-event hot path is an array store.
 //

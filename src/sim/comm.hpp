@@ -3,8 +3,8 @@
 //
 // Programming model (BSP phases):
 //   * A program is driven as a sequence of *phases*. In each phase the same
-//     callable runs once per rank (sequentially in SeqEngine, concurrently in
-//     ThreadEngine).
+//     callable runs once per rank (sequentially in SeqEngine; in ThreadEngine
+//     concurrently, on up to one host thread per core).
 //   * `send` is asynchronous and may target any rank.
 //   * `recv` may only consume messages sent in an *earlier* phase. Receiving
 //     a message that was never sent (or was sent in the same phase) is a
@@ -359,24 +359,39 @@ class Engine {
   mutable std::mutex collective_mutex_;
 };
 
-// Deterministic sequential engine: ranks run one after another per phase.
-class SeqEngine final : public Engine {
+// An engine that runs each phase on a rank pool (thread_engine.cpp): its
+// runners, the driving thread plus runners − 1 helper threads, claim the
+// phase's ranks in ascending order from one shared counter until all have
+// run. Every live rank of a phase runs even when another throws, and
+// run_phase rethrows the exception of the lowest-numbered throwing rank.
+// Only the two engines below choose a runner count.
+class PooledEngine : public Engine {
  public:
-  SeqEngine(int ranks, MachineModel model = MachineModel::t3e());
-  void run_phase(const std::function<void(Comm&)>& body) override;
-};
-
-// Thread-backed engine: one persistent worker per rank, phases separated by
-// barriers. Produces results identical to SeqEngine.
-class ThreadEngine final : public Engine {
- public:
-  ThreadEngine(int ranks, MachineModel model = MachineModel::t3e());
-  ~ThreadEngine() override;
-  void run_phase(const std::function<void(Comm&)>& body) override;
+  ~PooledEngine() override;
+  void run_phase(const std::function<void(Comm&)>& body) final;
 
  private:
+  friend class SeqEngine;
+  friend class ThreadEngine;
+  PooledEngine(int ranks, MachineModel model, int runners);
+
   struct Pool;
   std::unique_ptr<Pool> pool_;
+};
+
+// Deterministic sequential engine: the one-runner pool. The driving thread
+// runs every rank of a phase itself, in ascending order.
+class SeqEngine final : public PooledEngine {
+ public:
+  SeqEngine(int ranks, MachineModel model = MachineModel::t3e());
+};
+
+// Thread-backed engine: min(ranks, hardware_concurrency()) runners, so one
+// engine never runs more threads than the host has cores, however many
+// ranks it has. Produces results identical to SeqEngine.
+class ThreadEngine final : public PooledEngine {
+ public:
+  ThreadEngine(int ranks, MachineModel model = MachineModel::t3e());
 };
 
 }  // namespace pcmd::sim

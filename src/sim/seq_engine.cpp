@@ -3,16 +3,6 @@
 namespace pcmd::sim {
 
 SeqEngine::SeqEngine(int ranks, MachineModel model)
-    : Engine(ranks, std::move(model)) {}
-
-void SeqEngine::run_phase(const std::function<void(Comm&)>& body) {
-  ++phase_;
-  notify_phase_begin();
-  for (int r = 0; r < size(); ++r) {
-    if (!alive(r)) continue;  // crashed ranks never run again
-    Comm comm(this, r);
-    body(comm);
-  }
-}
+    : PooledEngine(ranks, std::move(model), 1) {}
 
 }  // namespace pcmd::sim

@@ -4,10 +4,12 @@
 // A TraceSink attached via Engine::set_trace_sink receives one callback per
 // modelled event: compute charged by advance(), point-to-point send/recv,
 // and split-phase collectives. All timestamps are *virtual* seconds on the
-// acting rank's clock. Callbacks for rank r are invoked on the execution
-// context that runs rank r (the driving thread in SeqEngine, rank r's worker
-// in ThreadEngine), so a sink keeping per-rank state needs no locking for
-// it. Detached cost is one predicted-not-taken branch per event.
+// acting rank's clock. Callbacks for rank r are invoked on the thread that
+// runs rank r in the current phase: the driving thread in SeqEngine,
+// whichever runner claimed r in ThreadEngine. Each rank has one runner per
+// phase and the phase barrier orders phases, so a sink keeping per-rank
+// state needs no locking for it. Detached cost is one predicted-not-taken
+// branch per event.
 //
 // The concrete production sink is obs::TraceCollector (src/obs); the
 // interface lives here so pcmd_sim does not depend on pcmd_obs.

@@ -28,7 +28,9 @@
 namespace pcmd::ddm {
 namespace {
 
-Box chaos_box() { return Box::cubic(15.0); }
+// The box edge is 5σ per PE along a side: m = 2 cells of at least the
+// 2.5σ cutoff.
+Box chaos_box(int pe_side = 3) { return Box::cubic(5.0 * pe_side); }
 
 ParallelMdConfig chaos_config(bool dlb = false) {
   ParallelMdConfig config;
@@ -42,11 +44,12 @@ ParallelMdConfig chaos_config(bool dlb = false) {
   return config;
 }
 
-md::ParticleVector chaos_gas(int n = 300, std::uint64_t seed = 11) {
+md::ParticleVector chaos_gas(int n = 300, std::uint64_t seed = 11,
+                             int pe_side = 3) {
   pcmd::Rng rng(seed);
   workload::GasConfig gas;
   gas.temperature = 0.722;
-  return workload::random_gas(n, chaos_box(), gas, rng);
+  return workload::random_gas(n, chaos_box(pe_side), gas, rng);
 }
 
 // One injected run: returns the final particle state plus the per-step
@@ -57,16 +60,24 @@ struct RunResult {
   sim::FaultCounters faults;
 };
 
+// The system an injected run steps: P = pe_side^2 ranks on chaos_box.
+struct ChaosSystem {
+  int pe_side = 3;
+  int particles = 300;
+};
+
 RunResult run_injected(sim::Engine& engine, const sim::FaultPlan& plan,
-                       int steps, bool dlb) {
+                       int steps, bool dlb, ChaosSystem system = {}) {
   std::optional<sim::FaultInjector> injector;
   if (!plan.empty()) {
     injector.emplace(plan);
     engine.set_fault_injector(&*injector);
   }
   ParallelMdConfig config = chaos_config(dlb);
+  config.pe_side = system.pe_side;
   config.fault_tolerance.reliable = !plan.empty();
-  ParallelMd md(engine, chaos_box(), chaos_gas(), config);
+  ParallelMd md(engine, chaos_box(system.pe_side),
+                chaos_gas(system.particles, 11, system.pe_side), config);
   RunResult result;
   for (int i = 0; i < steps; ++i) result.stats.push_back(md.step());
   result.particles = md.gather_particles();
@@ -104,34 +115,41 @@ const char* const kTransientPlans[] = {
 
 TEST(Chaos, SeqAndThreadEnginesAgreeBitwiseUnderInjection) {
   constexpr int kSteps = 12;
-  for (const char* spec : kTransientPlans) {
-    SCOPED_TRACE(spec);
-    const auto plan = sim::FaultPlan::parse(spec);
+  // P = 36 at a quarter of the P = 9 density: more ranks than the runners
+  // of a host below 36 cores, so each runner claims several per phase.
+  for (const ChaosSystem system : {ChaosSystem{}, ChaosSystem{6, 600}}) {
+    for (const char* spec : kTransientPlans) {
+      SCOPED_TRACE(std::string(spec) + ", P = " +
+                   std::to_string(system.pe_side * system.pe_side));
+      const auto plan = sim::FaultPlan::parse(spec);
 
-    sim::SeqEngine seq(9);
-    const RunResult a = run_injected(seq, plan, kSteps, /*dlb=*/true);
-    sim::ThreadEngine thread(9);
-    const RunResult b = run_injected(thread, plan, kSteps, /*dlb=*/true);
+      const int ranks = system.pe_side * system.pe_side;
+      sim::SeqEngine seq(ranks);
+      const RunResult a = run_injected(seq, plan, kSteps, /*dlb=*/true, system);
+      sim::ThreadEngine thread(ranks);
+      const RunResult b =
+          run_injected(thread, plan, kSteps, /*dlb=*/true, system);
 
-    expect_particles_bitwise(a.particles, b.particles, spec);
-    ASSERT_EQ(a.stats.size(), b.stats.size());
-    for (std::size_t i = 0; i < a.stats.size(); ++i) {
-      // Physics and integer fault counters must agree exactly. (Float time
-      // aggregates like stall_seconds are mutex-order sums on ThreadEngine
-      // and are deliberately not compared.)
-      EXPECT_EQ(a.stats[i].potential_energy, b.stats[i].potential_energy)
-          << "step " << i;
-      EXPECT_EQ(a.stats[i].kinetic_energy, b.stats[i].kinetic_energy);
-      EXPECT_EQ(a.stats[i].transfers, b.stats[i].transfers);
-      EXPECT_EQ(a.stats[i].retransmissions, b.stats[i].retransmissions)
-          << "retry schedule diverged between engines at step " << i;
-      EXPECT_EQ(a.stats[i].corrupt_discarded, b.stats[i].corrupt_discarded);
-      EXPECT_EQ(a.stats[i].recv_timeouts, b.stats[i].recv_timeouts);
+      expect_particles_bitwise(a.particles, b.particles, spec);
+      ASSERT_EQ(a.stats.size(), b.stats.size());
+      for (std::size_t i = 0; i < a.stats.size(); ++i) {
+        // Physics and integer fault counters must agree exactly. (Float time
+        // aggregates like stall_seconds are mutex-order sums on ThreadEngine
+        // and are deliberately not compared.)
+        EXPECT_EQ(a.stats[i].potential_energy, b.stats[i].potential_energy)
+            << "step " << i;
+        EXPECT_EQ(a.stats[i].kinetic_energy, b.stats[i].kinetic_energy);
+        EXPECT_EQ(a.stats[i].transfers, b.stats[i].transfers);
+        EXPECT_EQ(a.stats[i].retransmissions, b.stats[i].retransmissions)
+            << "retry schedule diverged between engines at step " << i;
+        EXPECT_EQ(a.stats[i].corrupt_discarded, b.stats[i].corrupt_discarded);
+        EXPECT_EQ(a.stats[i].recv_timeouts, b.stats[i].recv_timeouts);
+      }
+      EXPECT_EQ(a.faults.messages_dropped, b.faults.messages_dropped);
+      EXPECT_EQ(a.faults.messages_corrupted, b.faults.messages_corrupted);
+      EXPECT_EQ(a.faults.messages_delayed, b.faults.messages_delayed);
+      EXPECT_EQ(a.faults.stalled_advances, b.faults.stalled_advances);
     }
-    EXPECT_EQ(a.faults.messages_dropped, b.faults.messages_dropped);
-    EXPECT_EQ(a.faults.messages_corrupted, b.faults.messages_corrupted);
-    EXPECT_EQ(a.faults.messages_delayed, b.faults.messages_delayed);
-    EXPECT_EQ(a.faults.stalled_advances, b.faults.stalled_advances);
   }
 }
 

@@ -339,7 +339,7 @@ INSTANTIATE_TEST_SUITE_P(Backends, EngineTest,
                          });
 
 // Cross-backend equivalence: the same SPMD program must produce identical
-// clocks and counters on both engines.
+// clocks and counters on both engines, bit for bit.
 TEST(EngineEquivalence, ClocksIdenticalAcrossBackends) {
   auto program = [](Engine& engine) {
     engine.run_phase([](Comm& comm) {
@@ -361,9 +361,9 @@ TEST(EngineEquivalence, ClocksIdenticalAcrossBackends) {
   program(seq);
   program(thread);
   for (int r = 0; r < 5; ++r) {
-    EXPECT_DOUBLE_EQ(seq.clock(r), thread.clock(r)) << "rank " << r;
-    EXPECT_DOUBLE_EQ(seq.counters(r).compute_seconds,
-                     thread.counters(r).compute_seconds);
+    EXPECT_EQ(seq.clock(r), thread.clock(r)) << "rank " << r;
+    EXPECT_EQ(seq.counters(r).compute_seconds,
+              thread.counters(r).compute_seconds);
     EXPECT_EQ(seq.counters(r).messages_sent, thread.counters(r).messages_sent);
   }
 }

@@ -1,15 +1,24 @@
-// TSan-targeted stress for ThreadEngine::Pool: many short phases (barrier
-// churn), exception paths (the pool must survive a throwing phase body and
-// keep its workers), and concurrent all-to-all mailbox traffic. The suite is
-// labelled `tsan` in tests/CMakeLists.txt so the sanitizer matrix runs it
-// under -fsanitize=thread.
+// TSan-targeted stress for the rank pool behind ThreadEngine: many short
+// phases (barrier churn), exception paths (the pool must survive a throwing
+// phase body and keep its runners, and the lowest throwing rank's exception
+// must surface whatever the timing), more ranks than runners, and concurrent
+// all-to-all mailbox traffic. The suite is labelled `tsan` in
+// tests/CMakeLists.txt so the sanitizer matrix runs it under
+// -fsanitize=thread.
 #include "sim/checker.hpp"
 #include "sim/comm.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <filesystem>
+#include <iterator>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 namespace pcmd::sim {
 namespace {
@@ -52,16 +61,118 @@ TEST(ThreadStress, PoolSurvivesThrowingPhaseBody) {
   }
 }
 
-TEST(ThreadStress, FirstOfConcurrentExceptionsWins) {
-  // Every rank throws; exactly one exception must surface and the pool must
+std::string thrown_by(Engine& engine,
+                      const std::function<void(Comm&)>& body) {
+  try {
+    engine.run_phase(body);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "nothing";
+}
+
+TEST(ThreadStress, LowestRankExceptionWins) {
+  // Every rank throws; rank 0's exception must surface, and the pool must
   // not deadlock waiting for the others.
   ThreadEngine engine(8);
-  EXPECT_THROW(
-      engine.run_phase([](Comm&) { throw std::runtime_error("boom"); }),
-      std::runtime_error);
-  std::atomic<int> alive{0};
-  engine.run_phase([&](Comm&) { alive.fetch_add(1); });
-  EXPECT_EQ(alive.load(), 8);
+  for (int round = 0; round < 20; ++round) {
+    EXPECT_EQ(thrown_by(engine,
+                        [](Comm& comm) {
+                          throw std::runtime_error(
+                              "rank " + std::to_string(comm.rank()));
+                        }),
+              "rank 0");
+    std::atomic<int> alive{0};
+    engine.run_phase([&](Comm&) { alive.fetch_add(1); });
+    EXPECT_EQ(alive.load(), 8);
+  }
+}
+
+TEST(ThreadStress, LowerRankThrowingLaterStillWins) {
+  // Rank 3 throws at once; rank 0 throws only after it has seen rank 3 run
+  // and a further pause, so rank 3's exception is the first one caught. The
+  // rule is still rank 0's. With a single runner rank 3 cannot run before
+  // rank 0 finishes, so the wait is bounded.
+  ThreadEngine engine(4);
+  std::atomic<bool> rank3_ran{false};
+  EXPECT_EQ(thrown_by(engine,
+                      [&](Comm& comm) {
+                        if (comm.rank() == 3) {
+                          rank3_ran.store(true);
+                          throw std::runtime_error("rank 3");
+                        }
+                        if (comm.rank() != 0) return;
+                        const auto give_up = std::chrono::steady_clock::now() +
+                                             std::chrono::seconds(2);
+                        while (!rank3_ran.load() &&
+                               std::chrono::steady_clock::now() < give_up) {
+                          std::this_thread::yield();
+                        }
+                        std::this_thread::sleep_for(
+                            std::chrono::milliseconds(50));
+                        throw std::runtime_error("rank 0");
+                      }),
+            "rank 0");
+  EXPECT_TRUE(rank3_ran.load());
+}
+
+TEST(ThreadStress, MoreRanksThanRunnersEachRunOncePerPhase) {
+  // 64 ranks exceed the runner count on any host below 64 cores. Every live
+  // rank must run exactly once per phase, crashed ranks never, and the
+  // engine must stay usable after a throwing phase.
+  constexpr int kRanks = 64;
+  ThreadEngine engine(kRanks);
+  std::vector<std::atomic<int>> runs(kRanks);
+  const auto run_counted_phase = [&] {
+    for (auto& count : runs) count.store(0);
+    engine.run_phase([&](Comm& comm) {
+      runs[static_cast<std::size_t>(comm.rank())].fetch_add(1);
+    });
+    std::vector<int> counts;
+    for (const auto& count : runs) counts.push_back(count.load());
+    return counts;
+  };
+  std::vector<int> expected(kRanks, 1);
+  for (int phase = 0; phase < 50; ++phase) {
+    ASSERT_EQ(run_counted_phase(), expected) << "phase " << phase;
+  }
+  for (const int dead : {0, 17, 63}) {
+    engine.declare_dead(dead);
+    expected[dead] = 0;
+  }
+  for (int phase = 0; phase < 50; ++phase) {
+    ASSERT_EQ(run_counted_phase(), expected) << "phase " << phase;
+  }
+  EXPECT_THROW(engine.run_phase([](Comm& comm) {
+    if (comm.rank() % 5 == 1) throw std::runtime_error("phase body failure");
+  }),
+               std::runtime_error);
+  EXPECT_EQ(run_counted_phase(), expected);
+}
+
+int process_threads() {
+  const std::filesystem::path tasks("/proc/self/task");
+  std::error_code error;
+  if (!std::filesystem::is_directory(tasks, error)) return -1;
+  return static_cast<int>(std::distance(
+      std::filesystem::directory_iterator(tasks), {}));
+}
+
+TEST(ThreadStress, RunnersNeverOutnumberCores) {
+  // TSan's runtime starts a thread of its own at the first thread creation;
+  // create one first so that thread is already in the baseline.
+  std::thread([] {}).join();
+  const int before = process_threads();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/task on this host";
+  const int cores =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  {
+    SeqEngine seq(64);
+    EXPECT_EQ(process_threads(), before);
+  }
+  ThreadEngine engine(64);
+  engine.run_phase([](Comm& comm) { comm.advance(1e-9); });
+  EXPECT_LE(process_threads() - before, cores - 1);
 }
 
 TEST(ThreadStress, ConcurrentAllToAllMailboxTraffic) {
