@@ -9,8 +9,9 @@
 // Default here: the same physics scaled to 9 virtual PEs, rho* = 0.384
 // (denser than the paper's 0.256 so condensation — and with it the DDM
 // slowdown — develops within the scaled step budget), and fewer steps so
-// the bench finishes in ~2 minutes on one core. `--full` switches to the
-// paper's 36-PE, rho* = 0.256, 10^4-step configuration (a long run).
+// the bench finishes in about 22 s on a 4-vCPU VM, its virtual PEs spread
+// over the host's cores (ThreadEngine). `--full` switches to the paper's
+// 36-PE, rho* = 0.256, 10^4-step configuration (a long run).
 //
 //   ./fig5_exec_time [--steps 1500] [--interval 125] [--density 0.384]
 //                    [--seed 1] [--full] [--trace out/fig5]

@@ -32,13 +32,13 @@ struct SlabInfo {
 static_assert(std::is_trivially_copyable_v<SlabInfo>);
 
 sim::Buffer pack_info(const SlabInfo& info) {
-  sim::Packer packer;
+  sim::Packer packer = begin_payload(sizeof(SlabInfo));
   packer.put(info);
   return seal_payload(packer.take());
 }
 
 SlabInfo unpack_info(sim::Buffer buffer) {
-  sim::Unpacker unpacker(open_payload("slab_info", std::move(buffer)));
+  sim::Unpacker unpacker = open_payload("slab_info", std::move(buffer));
   return unpacker.get<SlabInfo>();
 }
 

@@ -16,23 +16,30 @@ constexpr std::uint32_t kWireMagic = 0x504D4457u;  // "PMDW"
 
 }  // namespace
 
-// Prepends the {magic, crc} wire header to a packed payload.
-sim::Buffer seal_payload(sim::Buffer body) {
-  sim::Buffer out(kWireHeaderBytes + body.size());
-  const std::uint32_t crc = pcmd::crc32(body.data(), body.size());
-  std::memcpy(out.data(), &kWireMagic, sizeof(kWireMagic));
-  std::memcpy(out.data() + 4, &crc, sizeof(crc));
-  if (!body.empty()) {
-    std::memcpy(out.data() + kWireHeaderBytes, body.data(), body.size());
-  }
-  return out;
+sim::Packer begin_payload(std::size_t body_bytes) {
+  sim::Packer packer;
+  packer.reserve(kWireHeaderBytes + body_bytes);
+  packer.put(std::uint64_t{0});  // header placeholder, see seal_payload
+  return packer;
 }
 
-// Verifies and strips the wire header in place (no reallocation; the body
-// bytes shift down by the header size). Too-short buffers are truncation
-// (ProtocolError); a magic or CRC mismatch is in-flight corruption
-// (ChecksumError).
-sim::Buffer open_payload(const char* what, sim::Buffer buffer) {
+// Writes the {magic, crc} wire header over the placeholder bytes that
+// begin_payload put in front of the body.
+sim::Buffer seal_payload(sim::Buffer packed) {
+  if (packed.size() < kWireHeaderBytes) {
+    throw std::logic_error("seal_payload: buffer has no header room");
+  }
+  const std::uint32_t crc = pcmd::crc32(packed.data() + kWireHeaderBytes,
+                                        packed.size() - kWireHeaderBytes);
+  std::memcpy(packed.data(), &kWireMagic, sizeof(kWireMagic));
+  std::memcpy(packed.data() + 4, &crc, sizeof(crc));
+  return packed;
+}
+
+// Verifies the wire header and starts reading after it (no copy, no shift).
+// Too-short buffers are truncation (ProtocolError); a magic or CRC mismatch
+// is in-flight corruption (ChecksumError).
+sim::Unpacker open_payload(const char* what, sim::Buffer buffer) {
   if (buffer.size() < kWireHeaderBytes) {
     throw sim::ProtocolError(std::string("unpack_") + what +
                              ": buffer shorter than the wire header");
@@ -48,8 +55,7 @@ sim::Buffer open_payload(const char* what, sim::Buffer buffer) {
                              ": checksum mismatch — payload corrupted in "
                              "flight");
   }
-  buffer.erase(buffer.begin(), buffer.begin() + kWireHeaderBytes);
-  return buffer;
+  return sim::Unpacker(std::move(buffer), kWireHeaderBytes);
 }
 
 namespace {
@@ -62,7 +68,7 @@ namespace {
 // any field is read.
 template <typename F>
 auto checked_unpack(const char* what, sim::Buffer buffer, F&& body) {
-  sim::Unpacker unpacker(open_payload(what, std::move(buffer)));
+  sim::Unpacker unpacker = open_payload(what, std::move(buffer));
   try {
     auto value = body(unpacker);
     if (!unpacker.exhausted()) {
@@ -81,9 +87,9 @@ auto checked_unpack(const char* what, sim::Buffer buffer, F&& body) {
 
 sim::Buffer pack_digest(double busy_seconds,
                         const std::vector<std::int32_t>& columns) {
-  sim::Packer packer;
-  packer.reserve(sizeof(DigestHeader) + sizeof(std::uint64_t) +
-                 columns.size() * sizeof(std::int32_t));
+  sim::Packer packer =
+      begin_payload(sizeof(DigestHeader) + sizeof(std::uint64_t) +
+                    columns.size() * sizeof(std::int32_t));
   DigestHeader header;
   header.busy_seconds = busy_seconds;
   packer.put(header);
@@ -103,7 +109,7 @@ void unpack_digest(sim::Buffer buffer, double& busy_seconds,
 }
 
 sim::Buffer pack_announce(const AnnounceRecord& record) {
-  sim::Packer packer;
+  sim::Packer packer = begin_payload(sizeof(AnnounceRecord));
   packer.put(record);
   return seal_payload(packer.take());
 }
@@ -115,9 +121,8 @@ AnnounceRecord unpack_announce(sim::Buffer buffer) {
 }
 
 sim::Buffer pack_particles(const std::vector<md::Particle>& particles) {
-  sim::Packer packer;
-  packer.reserve(sizeof(std::uint64_t) +
-                 particles.size() * sizeof(md::Particle));
+  sim::Packer packer = begin_payload(
+      sizeof(std::uint64_t) + particles.size() * sizeof(md::Particle));
   packer.put_vector(particles);
   return seal_payload(packer.take());
 }
@@ -130,8 +135,8 @@ std::vector<md::Particle> unpack_particles(sim::Buffer buffer) {
 }
 
 sim::Buffer pack_halo(const std::vector<HaloRecord>& records) {
-  sim::Packer packer;
-  packer.reserve(sizeof(std::uint64_t) + records.size() * sizeof(HaloRecord));
+  sim::Packer packer = begin_payload(sizeof(std::uint64_t) +
+                                     records.size() * sizeof(HaloRecord));
   packer.put_vector(records);
   return seal_payload(packer.take());
 }

@@ -73,12 +73,19 @@ std::vector<md::Particle> unpack_particles(sim::Buffer buffer);
 sim::Buffer pack_halo(const std::vector<HaloRecord>& records);
 std::vector<HaloRecord> unpack_halo(sim::Buffer buffer);
 
-// Generic sealed payloads, for engine-local records that do not warrant a
-// named pack_*/unpack_* pair (e.g. the slab engine's boundary-info records):
-// seal_payload prepends the same {magic, crc} header; open_payload verifies
-// and strips it with the same ChecksumError/ProtocolError split, tagging
-// errors with `what`.
-sim::Buffer seal_payload(sim::Buffer body);
-sim::Buffer open_payload(const char* what, sim::Buffer sealed);
+// Generic sealed payloads, also for engine-local records that do not
+// warrant a named pack_*/unpack_* pair (e.g. the slab engine's
+// boundary-info records). Neither side copies the body:
+// - begin_payload returns a Packer that already holds the header's
+//   kWireHeaderBytes placeholder bytes, with room reserved for `body_bytes`
+//   more; pack the body into it;
+// - seal_payload takes that packer's buffer and writes {magic, crc of the
+//   body} over the placeholder in place;
+// - open_payload verifies the header with the same ChecksumError /
+//   ProtocolError split, tagging errors with `what`, and returns an
+//   Unpacker positioned at the first body byte.
+sim::Packer begin_payload(std::size_t body_bytes);
+sim::Buffer seal_payload(sim::Buffer packed);
+sim::Unpacker open_payload(const char* what, sim::Buffer sealed);
 
 }  // namespace pcmd::ddm

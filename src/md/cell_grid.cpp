@@ -245,11 +245,66 @@ PCMD_HOT void ForceWorkspace::load(const ParticleVector& particles,
   }
 }
 
-// SoA fast path. Same sweep order as the reference above (sorted stencil,
-// id-sorted bins, same-id skip) and per-pair arithmetic spelled exactly like
-// the reference's (minimum image per component, left-associated r2 sum,
-// identical LJ expressions via the fused kernel), so the accumulated sums
-// round identically and the scattered forces are bitwise equal.
+namespace {
+
+// One target cell's stencil candidates, gathered in stencil order, and the
+// passes' outputs over them. Only a sweep in progress reads it, so one copy
+// per thread serves every workspace the thread sweeps: the memory follows
+// an engine's runner threads (at most the host's cores), not its 16-36
+// ranks. Sized once per sweep for the largest stencil; a thread in steady
+// state never allocates it again.
+struct SweepScratch {
+  std::vector<double> x;
+  std::vector<double> y;
+  std::vector<double> z;
+  std::vector<std::int64_t> id;
+  std::vector<double> r2;          // distance pass: r^2 per candidate
+  std::vector<std::int32_t> kept;  // in-cut-off, other-id candidates
+};
+thread_local SweepScratch sweep_scratch;
+
+// Minimum image of one displacement component as two selects: the same two
+// comparisons as min_image_component and the same single +-len, so the
+// result is bitwise equal. The shift is len, -len or +0 (len + 0, 0 + -len,
+// 0 + 0), and e - len, e - (-len) == e + len and e - (+0) == e are exact
+// IEEE identities, also for e = -0. Branch-free, so loops over it vectorise;
+// the sum of two masked constants costs fewer vector ops than a difference.
+inline double fold(double e, double len, double half) {
+  return e - ((e > half ? len : 0.0) + (e < -half ? -len : 0.0));
+}
+
+// Pass 2 of the SoA sweep: r^2 from (px, py, pz) to each of the m gathered
+// candidates, summed left to right like the reference. With restrict
+// pointers and -fno-trapping-math on this file (src/md/CMakeLists.txt) GCC
+// if-converts the selects and vectorises the loop at the baseline ISA.
+PCMD_HOT void distance_pass(double px, double py, double pz,
+                            const double* __restrict xs,
+                            const double* __restrict ys,
+                            const double* __restrict zs, std::size_t m,
+                            const Vec3& len, const Vec3& half,
+                            double* __restrict r2) {
+  for (std::size_t j = 0; j < m; ++j) {
+    const double dx = fold(px - xs[j], len.x, half.x);
+    const double dy = fold(py - ys[j], len.y, half.y);
+    const double dz = fold(pz - zs[j], len.z, half.z);
+    r2[j] = dx * dx + dy * dy + dz * dz;
+  }
+}
+
+}  // namespace
+
+// SoA fast path. Same pairs, same order and the same per-pair arithmetic as
+// the reference above (sorted stencil, id-sorted bins, same-id skip, minimum
+// image per component, left-associated r2, the fused LJ kernel), so every
+// running sum rounds identically and the scattered forces are bitwise equal.
+// Per target cell:
+//   1. gather the stencil's slots into contiguous candidate arrays, in
+//      stencil order (the reference's j order);
+//   2. per particle, the branch-free distance pass over all m candidates;
+//   3. keep, in order, the candidates with r2 < rc2 and a different id, and
+//      run the kernel and the five running sums over those only.
+// pair_evaluations gains m minus the same-id entries, exactly the
+// reference's count after its same-id skip.
 PCMD_HOT ForceResult accumulate_forces(ParticleVector& particles,
                                        const CellGrid& grid,
                                        const CellBins& bins,
@@ -258,49 +313,83 @@ PCMD_HOT ForceResult accumulate_forces(ParticleVector& particles,
                                        ForceWorkspace& workspace) {
   workspace.load(particles, bins);
   ForceResult result;
-  const Vec3 box_length = grid.box().length;
+  const Vec3 len = grid.box().length;
+  const Vec3 half{0.5 * len.x, 0.5 * len.y, 0.5 * len.z};
   const double cutoff2 = lj.cutoff2();
+  const std::span<const std::int32_t> offsets = bins.offsets();
+
+  std::size_t widest = 0;
+  for (const int c : target_cells) {
+    std::size_t m = 0;
+    for (const int nc : grid.stencil(c)) {
+      m += static_cast<std::size_t>(offsets[nc + 1] - offsets[nc]);
+    }
+    widest = std::max(widest, m);
+  }
+  SweepScratch& scratch = sweep_scratch;
+  scratch.x.resize(widest);
+  scratch.y.resize(widest);
+  scratch.z.resize(widest);
+  scratch.id.resize(widest);
+  scratch.r2.resize(widest);
+  scratch.kept.resize(widest);
+
   const double* const xs = workspace.x_.data();
   const double* const ys = workspace.y_.data();
   const double* const zs = workspace.z_.data();
   const std::int64_t* const ids = workspace.id_.data();
-  const std::span<const std::int32_t> offsets = bins.offsets();
+  double* const cx = scratch.x.data();
+  double* const cy = scratch.y.data();
+  double* const cz = scratch.z.data();
+  std::int64_t* const cid = scratch.id.data();
+  double* const r2s = scratch.r2.data();
+  std::int32_t* const kept = scratch.kept.data();
   for (const int c : target_cells) {
-    const std::span<const int> sten = grid.stencil(c);
+    std::size_t m = 0;
+    for (const int nc : grid.stencil(c)) {
+      for (std::int32_t q = offsets[nc]; q < offsets[nc + 1]; ++q, ++m) {
+        cx[m] = xs[q];
+        cy[m] = ys[q];
+        cz[m] = zs[q];
+        cid[m] = ids[q];
+      }
+    }
     for (std::int32_t si = offsets[c]; si < offsets[c + 1]; ++si) {
       const double px = xs[si];
       const double py = ys[si];
       const double pz = zs[si];
       const std::int64_t pid = ids[si];
+      distance_pass(px, py, pz, cx, cy, cz, m, len, half, r2s);
+      std::size_t n_kept = 0;
+      std::size_t same = 0;
+      for (std::size_t j = 0; j < m; ++j) {
+        const bool self = cid[j] == pid;
+        kept[n_kept] = static_cast<std::int32_t>(j);
+        n_kept += static_cast<std::size_t>((r2s[j] < cutoff2) & !self);
+        same += static_cast<std::size_t>(self);
+      }
       double fx = 0.0;
       double fy = 0.0;
       double fz = 0.0;
       double pe = 0.0;
       double virial = 0.0;
-      std::uint64_t pairs = 0;
-      for (const int nc : sten) {
-        const std::int32_t qe = offsets[nc + 1];
-        for (std::int32_t qi = offsets[nc]; qi < qe; ++qi) {
-          if (ids[qi] == pid) continue;
-          const double dx = min_image_component(px - xs[qi], box_length.x);
-          const double dy = min_image_component(py - ys[qi], box_length.y);
-          const double dz = min_image_component(pz - zs[qi], box_length.z);
-          const double r2 = dx * dx + dy * dy + dz * dz;
-          ++pairs;
-          if (r2 < cutoff2) {
-            const PairKernelResult k = lj.pair_kernel(r2);
-            fx += dx * k.force_over_r;
-            fy += dy * k.force_over_r;
-            fz += dz * k.force_over_r;
-            pe += 0.5 * k.potential;
-            virial += 0.5 * k.force_over_r * r2;
-          }
-        }
+      for (std::size_t k = 0; k < n_kept; ++k) {
+        const std::int32_t j = kept[k];
+        const double dx = fold(px - cx[j], len.x, half.x);
+        const double dy = fold(py - cy[j], len.y, half.y);
+        const double dz = fold(pz - cz[j], len.z, half.z);
+        const double r2 = r2s[j];
+        const PairKernelResult kr = lj.pair_kernel(r2);
+        fx += dx * kr.force_over_r;
+        fy += dy * kr.force_over_r;
+        fz += dz * kr.force_over_r;
+        pe += 0.5 * kr.potential;
+        virial += 0.5 * kr.force_over_r * r2;
       }
       particles[workspace.index_[si]].force = Vec3{fx, fy, fz};
       result.potential_energy += pe;
       result.virial += virial;
-      result.pair_evaluations += pairs;
+      result.pair_evaluations += m - same;
     }
   }
   return result;

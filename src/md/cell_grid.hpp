@@ -173,10 +173,13 @@ ForceResult accumulate_forces(ParticleVector& particles, const CellGrid& grid,
                               std::span<const int> target_cells,
                               const LennardJones& lj);
 
-// SoA fast path: packs the working set through `workspace`, runs the same
-// sweep in the same order with the same per-pair arithmetic (fused LJ
-// kernel, inline minimum image), and scatters forces back to the canonical
-// AoS particles. Bitwise identical results to the reference overload.
+// SoA fast path: packs the working set through `workspace`, then for each
+// target cell gathers its stencil's candidates into one contiguous buffer
+// and, per particle of the cell, runs a branch-free (vectorised) distance
+// pass over all candidates, keeps the in-cut-off ones in order, and runs the
+// fused LJ kernel on those only. The same pairs are summed in the same
+// order with the same arithmetic, so forces, sums and pair_evaluations are
+// bitwise identical to the reference overload.
 ForceResult accumulate_forces(ParticleVector& particles, const CellGrid& grid,
                               const CellBins& bins,
                               std::span<const int> target_cells,

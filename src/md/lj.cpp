@@ -4,26 +4,18 @@
 
 namespace pcmd::md {
 
-LennardJones::LennardJones(double cutoff, bool shift_energy)
-    : cutoff_(cutoff),
-      cutoff2_(cutoff * cutoff),
-      shift_energy_(shift_energy),
-      shift_(0.0) {
+LennardJones::LennardJones(double cutoff)
+    : cutoff_(cutoff), cutoff2_(cutoff * cutoff) {
   if (cutoff <= 0.0) {
     throw std::invalid_argument("LennardJones: cutoff must be positive");
   }
-  const double inv_r2 = 1.0 / cutoff2_;
-  const double inv_r6 = inv_r2 * inv_r2 * inv_r2;
-  shift_ = 4.0 * (inv_r6 * inv_r6 - inv_r6);
 }
 
 double LennardJones::potential_r2(double r2) const {
   if (r2 >= cutoff2_) return 0.0;
   const double inv_r2 = 1.0 / r2;
   const double inv_r6 = inv_r2 * inv_r2 * inv_r2;
-  double v = 4.0 * (inv_r6 * inv_r6 - inv_r6);
-  if (shift_energy_) v -= shift_;
-  return v;
+  return 4.0 * (inv_r6 * inv_r6 - inv_r6);
 }
 
 double LennardJones::force_over_r(double r2) const {
@@ -33,7 +25,5 @@ double LennardJones::force_over_r(double r2) const {
   // F(r)/r = 24 eps (2 (sigma/r)^12 - (sigma/r)^6) / r^2
   return 24.0 * (2.0 * inv_r6 * inv_r6 - inv_r6) * inv_r2;
 }
-
-double LennardJones::potential_at_cutoff() const { return shift_; }
 
 }  // namespace pcmd::md

@@ -1,7 +1,7 @@
 // Truncated Lennard-Jones 12-6 potential (paper eq. (1)):
 //   V(r) = 4 eps [ (sigma/r)^12 - (sigma/r)^6 ],  truncated at r_c.
-// Reduced units: eps = sigma = 1. The paper uses plain truncation (no shift);
-// an optional energy shift is provided for energy-conservation studies.
+// Reduced units: eps = sigma = 1. Plain truncation, as in the paper: the
+// potential is not shifted, so it jumps by V(r_c) at the cut-off.
 #pragma once
 
 #include "util/hot.hpp"
@@ -16,11 +16,10 @@ struct PairKernelResult {
 
 class LennardJones {
  public:
-  explicit LennardJones(double cutoff = 2.5, bool shift_energy = false);
+  explicit LennardJones(double cutoff = 2.5);
 
   double cutoff() const { return cutoff_; }
   double cutoff2() const { return cutoff2_; }
-  bool shifted() const { return shift_energy_; }
 
   // Potential at squared distance r2 (0 beyond the cut-off).
   double potential_r2(double r2) const;
@@ -28,9 +27,6 @@ class LennardJones {
   // Force magnitude divided by r: F(r) / r, so the force vector on particle i
   // from j is  (x_i - x_j) * force_over_r(r2). Zero beyond the cut-off.
   double force_over_r(double r2) const;
-
-  // Potential value at the cut-off (the shift amount when shifting).
-  double potential_at_cutoff() const;
 
   // Fused force + potential evaluation for r2 < cutoff2(). Shares one
   // reciprocal between the two quantities; the individual expressions are
@@ -43,15 +39,12 @@ class LennardJones {
     PairKernelResult out;
     out.force_over_r = 24.0 * (2.0 * inv_r6 * inv_r6 - inv_r6) * inv_r2;
     out.potential = 4.0 * (inv_r6 * inv_r6 - inv_r6);
-    if (shift_energy_) out.potential -= shift_;
     return out;
   }
 
  private:
   double cutoff_;
   double cutoff2_;
-  bool shift_energy_;
-  double shift_;
 };
 
 }  // namespace pcmd::md

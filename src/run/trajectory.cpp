@@ -16,7 +16,9 @@ MdTrajectoryResult run_md_trajectory(const RunSpec& spec,
   ddm::ParallelMdConfig config = spec.parallel_config();
   config.trace = trace;
 
-  sim::SeqEngine engine(ddm::engine_rank_count(config), spec.machine);
+  // Bitwise identical to SeqEngine (the engines' parity contract), on
+  // min(ranks, cores) runners.
+  sim::ThreadEngine engine(ddm::engine_rank_count(config), spec.machine);
   if (trace) {
     engine.set_trace_sink(trace);
   }

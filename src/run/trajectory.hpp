@@ -1,5 +1,5 @@
 // The full-MD trajectory driver behind the Fig. 5/6/9 harnesses and
-// Fig. 10 --full: one RunSpec run on a SeqEngine, step by step, with the
+// Fig. 10 --full: one RunSpec run on a ThreadEngine, step by step, with the
 // per-step series the Section 4 analysis reads (theory/effective_range.hpp)
 // and the metrics rows the trace sinks write.
 #pragma once

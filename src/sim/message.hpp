@@ -26,16 +26,17 @@ class Packer {
     std::memcpy(buffer_.data() + offset, &value, sizeof(T));
   }
 
+  // Appends the elements' bytes in one insert, so a large vector is copied
+  // once rather than zero-filled by resize and then copied over.
   template <typename T>
   void put_vector(const std::vector<T>& values) {
     static_assert(std::is_trivially_copyable_v<T>,
                   "Packer::put_vector requires a trivially copyable type");
     put<std::uint64_t>(values.size());
-    const auto offset = buffer_.size();
-    buffer_.resize(offset + values.size() * sizeof(T));
     if (!values.empty()) {
-      std::memcpy(buffer_.data() + offset, values.data(),
-                  values.size() * sizeof(T));
+      const auto* first =
+          reinterpret_cast<const std::uint8_t*>(values.data());
+      buffer_.insert(buffer_.end(), first, first + values.size() * sizeof(T));
     }
   }
 
@@ -54,8 +55,17 @@ class Packer {
 class Unpacker {
  public:
   // Owns the buffer: accepting by value lets callers hand over the result of
-  // Comm::recv directly without lifetime pitfalls.
-  explicit Unpacker(Buffer buffer) : buffer_(std::move(buffer)) {}
+  // Comm::recv directly without lifetime pitfalls. Reading starts at byte
+  // `start`, so a caller that has checked a header skips it without
+  // shifting the body down.
+  explicit Unpacker(Buffer buffer, std::size_t start = 0)
+      : buffer_(std::move(buffer)), cursor_(start) {
+    if (cursor_ > buffer_.size()) {
+      throw std::out_of_range("Unpacker: start " + std::to_string(start) +
+                              " is past the " +
+                              std::to_string(buffer_.size()) + "-byte buffer");
+    }
+  }
 
   template <typename T>
   T get() {

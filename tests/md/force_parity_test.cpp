@@ -13,6 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <numeric>
 
 namespace pcmd::md {
@@ -117,6 +120,213 @@ TEST(ForceParity, WorkspaceReuseAcrossShrinkingLoads) {
     EXPECT_EQ(small[i].force.z, fresh_particles[i].force.z);
   }
 }
+
+// ---------------------------------------------------------------------------
+// Generated battery. Case k draws everything from its own seed, and k's
+// residues pick the geometry, so the cases cover:
+// - 1, 2 and 3-5 cells per axis (with 1 or 2 the stencil deduplicates) and
+//   anisotropic boxes;
+// - cut-offs from 0.4 of the smallest cell edge up to that edge;
+// - all cells, a random subset, or a single cell as targets;
+// - all particles in one cell (a gather buffer far larger than usual) and
+//   sparse systems with many empty cells;
+// - particles on cell faces and at 0;
+// - a 1-cell-per-axis box whose cut-off exceeds L/2, with pairs exactly
+//   +-L/2 apart (the minimum image's compare boundary);
+// - one id present twice, close enough to share a stencil (the reference
+//   skips and does not count every same-id entry).
+// Forces and sums are compared as bit patterns, so a NaN or a signed zero
+// must match too.
+
+constexpr int kBatteryCases = 200;
+
+struct SweepCase {
+  Box box;
+  int nx = 1;
+  int ny = 1;
+  int nz = 1;
+  double cutoff = 1.0;
+  ParticleVector particles;
+  std::vector<int> targets;
+};
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+Particle particle_at(std::int64_t id, const Vec3& position) {
+  Particle p;
+  p.id = id;
+  p.position = position;
+  return p;
+}
+
+// Coordinate in [0, len) on a 1/8 grid, so +-len/2 shifts of it are exact.
+double dyadic(Rng& rng, double len) {
+  return static_cast<double>(rng.uniform_index(
+             static_cast<std::uint64_t>(8.0 * len))) / 8.0;
+}
+
+// One axis of the minimum-image "half box" geometry: q sits exactly len/2
+// from p, wrapped into [0, len).
+double half_box_partner(double p, double len) {
+  return p + 0.5 * len < len ? p + 0.5 * len : p - 0.5 * len;
+}
+
+SweepCase draw_case(int k) {
+  Rng rng(0xF0CE5EEDull + static_cast<std::uint64_t>(k));
+  SweepCase sc;
+  const int shape = k % 5;  // 0-1 random/sparse, 2 one cell, 3 faces, 4 half
+  auto dim = [&] { return 1 + static_cast<int>(rng.uniform_index(5)); };
+  Vec3 edge;
+  if (shape == 4) {
+    sc.nx = sc.ny = sc.nz = 1;
+    const double len = 2.0 + static_cast<double>(rng.uniform_index(3));
+    edge = Vec3{len, len, len};
+    sc.cutoff = len * rng.uniform(0.55, 1.0);  // > L/2, <= the cell edge
+  } else {
+    sc.nx = dim();
+    sc.ny = dim();
+    sc.nz = dim();
+    edge = Vec3{rng.uniform(1.0, 3.0), rng.uniform(1.0, 3.0),
+                rng.uniform(1.0, 3.0)};
+    const double min_edge = std::min({edge.x, edge.y, edge.z});
+    sc.cutoff = k % 7 == 0 ? min_edge : min_edge * rng.uniform(0.4, 1.0);
+  }
+  sc.box = Box{Vec3{edge.x * sc.nx, edge.y * sc.ny, edge.z * sc.nz}};
+  const Vec3 len = sc.box.length;
+  const int cells = sc.nx * sc.ny * sc.nz;
+
+  auto& ps = sc.particles;
+  std::int64_t next_id = 0;
+  switch (shape) {
+    case 0:
+    case 1: {
+      // Shape 1 is sparse: at most one particle per two cells.
+      const auto cap = static_cast<std::uint64_t>(
+          shape == 0 ? std::min(6 * cells, 150) : cells / 2 + 1);
+      const auto n = rng.uniform_index(cap + 1);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        ps.push_back(particle_at(next_id++, rng.uniform_in_box(len)));
+      }
+      break;
+    }
+    case 2: {
+      // Everything in one cell.
+      const int cx = static_cast<int>(rng.uniform_index(sc.nx));
+      const int cy = static_cast<int>(rng.uniform_index(sc.ny));
+      const int cz = static_cast<int>(rng.uniform_index(sc.nz));
+      const auto n = 20 + rng.uniform_index(101);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        const Vec3 offset = rng.uniform_in_box(edge);
+        ps.push_back(particle_at(
+            next_id++, Vec3{cx * edge.x + offset.x, cy * edge.y + offset.y,
+                            cz * edge.z + offset.z}));
+      }
+      break;
+    }
+    case 3: {
+      // Snap one or two axes of each particle onto a cell face (face 0 is
+      // the box face at 0).
+      const auto n = rng.uniform_index(static_cast<std::uint64_t>(
+                         std::min(4 * cells, 120))) + 1;
+      for (std::uint64_t i = 0; i < n; ++i) {
+        Vec3 p = rng.uniform_in_box(len);
+        auto face = [&](double e, int n) {
+          return e * static_cast<double>(rng.uniform_index(n));
+        };
+        const auto snap = rng.uniform_index(6);
+        if (snap & 1) p.x = face(edge.x, sc.nx);
+        if (snap & 2) p.y = face(edge.y, sc.ny);
+        if (snap == 0 || snap == 4) p.z = face(edge.z, sc.nz);
+        ps.push_back(particle_at(next_id++, p));
+      }
+      break;
+    }
+    default: {
+      // Pairs exactly L/2 apart along one, two or three axes, plus a few
+      // random particles.
+      const auto pairs = 1 + rng.uniform_index(4);
+      for (std::uint64_t i = 0; i < pairs; ++i) {
+        const Vec3 p{dyadic(rng, len.x), dyadic(rng, len.y),
+                     dyadic(rng, len.z)};
+        const auto axes = 1 + rng.uniform_index(7);  // nonzero subset
+        const Vec3 q{axes & 1 ? half_box_partner(p.x, len.x) : p.x,
+                     axes & 2 ? half_box_partner(p.y, len.y) : p.y,
+                     axes & 4 ? half_box_partner(p.z, len.z) : p.z};
+        ps.push_back(particle_at(next_id++, p));
+        ps.push_back(particle_at(next_id++, q));
+      }
+      const auto extra = rng.uniform_index(6);
+      for (std::uint64_t i = 0; i < extra; ++i) {
+        ps.push_back(particle_at(next_id++, rng.uniform_in_box(len)));
+      }
+      break;
+    }
+  }
+
+  // Odd cases number the particles against their storage order, so the
+  // id-sorted bins permute them.
+  if (k % 2 == 1) {
+    for (auto& p : ps) p.id = next_id - 1 - p.id;
+  }
+  // Every third case gives one id to two particles less than half a cell
+  // apart, so each lies in the other's stencil.
+  if (k % 3 == 0 && ps.size() >= 2) {
+    const auto i = rng.uniform_index(ps.size());
+    auto j = rng.uniform_index(ps.size() - 1);
+    if (j >= i) ++j;
+    const Vec3 nudge{rng.uniform(-0.5, 0.5) * edge.x,
+                     rng.uniform(-0.5, 0.5) * edge.y,
+                     rng.uniform(-0.5, 0.5) * edge.z};
+    ps[j].id = ps[i].id;
+    ps[j].position = wrap(ps[i].position + nudge, sc.box);
+  }
+
+  switch (k % 4) {
+    case 1:
+      for (int c = 0; c < cells; ++c) {
+        if (rng.uniform_index(2) == 0) sc.targets.push_back(c);
+      }
+      break;
+    case 3:
+      sc.targets.push_back(static_cast<int>(rng.uniform_index(cells)));
+      break;
+    default:
+      sc.targets.resize(static_cast<std::size_t>(cells));
+      std::iota(sc.targets.begin(), sc.targets.end(), 0);
+      break;
+  }
+  return sc;
+}
+
+class ForceParityBattery : public ::testing::TestWithParam<int> {};
+
+TEST_P(ForceParityBattery, SoaMatchesAosBitwise) {
+  SweepCase sc = draw_case(GetParam());
+  const CellGrid grid(sc.box, sc.nx, sc.ny, sc.nz);
+  ASSERT_TRUE(grid.covers_cutoff(sc.cutoff));
+  const LennardJones lj(sc.cutoff);
+  const CellBins bins(grid, sc.particles);
+  ParticleVector reference = sc.particles;
+  const ForceResult expected =
+      accumulate_forces(reference, grid, bins, sc.targets, lj);
+  ForceWorkspace workspace;
+  const ForceResult actual = accumulate_forces(sc.particles, grid, bins,
+                                               sc.targets, lj, workspace);
+  EXPECT_EQ(bits(actual.potential_energy), bits(expected.potential_energy));
+  EXPECT_EQ(bits(actual.virial), bits(expected.virial));
+  EXPECT_EQ(actual.pair_evaluations, expected.pair_evaluations);
+  for (std::size_t i = 0; i < sc.particles.size(); ++i) {
+    EXPECT_EQ(bits(sc.particles[i].force.x), bits(reference[i].force.x))
+        << "particle " << i;
+    EXPECT_EQ(bits(sc.particles[i].force.y), bits(reference[i].force.y))
+        << "particle " << i;
+    EXPECT_EQ(bits(sc.particles[i].force.z), bits(reference[i].force.z))
+        << "particle " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Generated, ForceParityBattery,
+                         ::testing::Range(0, kBatteryCases));
 
 TEST(StencilCache, SharedTableIsBitwiseIdenticalToPrivate) {
   const Box box = Box::cubic(11.0);

@@ -52,16 +52,13 @@ TEST(LennardJones, ForceMatchesPotentialGradient) {
   }
 }
 
-TEST(LennardJones, ShiftedPotentialContinuousAtCutoff) {
-  const LennardJones lj(2.5, /*shift_energy=*/true);
-  const double just_inside = 2.5 - 1e-9;
-  EXPECT_NEAR(lj.potential_r2(just_inside * just_inside), 0.0, 1e-6);
-}
-
 TEST(LennardJones, UnshiftedHasKnownCutoffValue) {
-  const LennardJones lj(2.5, /*shift_energy=*/false);
-  // V(2.5) = 4 (2.5^-12 - 2.5^-6) ~ -0.016316891136
-  EXPECT_NEAR(lj.potential_at_cutoff(), -0.016316891136, 1e-9);
+  const LennardJones lj(2.5);
+  // Plain truncation: just inside the cut-off the potential is still
+  // V(2.5) = 4 (2.5^-12 - 2.5^-6) ~ -0.016316891136, not 0.
+  const double just_inside = 2.5 - 1e-12;
+  EXPECT_NEAR(lj.potential_r2(just_inside * just_inside), -0.016316891136,
+              1e-9);
 }
 
 TEST(LennardJones, RejectsNonPositiveCutoff) {
@@ -73,7 +70,6 @@ TEST(LennardJones, CutoffAccessors) {
   const LennardJones lj(2.5);
   EXPECT_DOUBLE_EQ(lj.cutoff(), 2.5);
   EXPECT_DOUBLE_EQ(lj.cutoff2(), 6.25);
-  EXPECT_FALSE(lj.shifted());
 }
 
 }  // namespace
