@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
               pe, initial.size(), density, steps);
 
   // Square pillar with DLB.
-  sim::SeqEngine pillar_engine(pe);
+  sim::ThreadEngine pillar_engine(pe);
   ddm::ParallelMdConfig pillar_config;
   pillar_config.pe_side = spec.pe_side();
   pillar_config.m = spec.m;
@@ -64,9 +64,9 @@ int main(int argc, char** argv) {
     config.shift_enabled = shift;
     return config;
   };
-  sim::SeqEngine slab_engine(pe);
+  sim::ThreadEngine slab_engine(pe);
   ddm::SlabMd slab(slab_engine, spec.box(), initial, make_slab(true));
-  sim::SeqEngine static_engine(pe);
+  sim::ThreadEngine static_engine(pe);
   ddm::SlabMd slab_static(static_engine, spec.box(), initial,
                           make_slab(false));
 

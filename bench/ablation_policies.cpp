@@ -175,7 +175,7 @@ BakeResult run_bakeoff(ddm::BalancerKind kind, const std::string& shape,
   config.balancer.kind = kind;
   const Box box = Box::cubic(config.pe_side * config.m * config.cutoff);
 
-  sim::SeqEngine engine(config.pe_side * config.pe_side);
+  sim::ThreadEngine engine(config.pe_side * config.pe_side);
   ddm::ParallelMd md(engine, box, bake_workload(shape, box), config);
 
   BakeResult result;

@@ -44,8 +44,8 @@ int main(int argc, char** argv) {
   base.rescale_temperature = spec.temperature;
   base.rescale_interval = spec.rescale_interval;
 
-  sim::SeqEngine ddm_engine(spec.pe_count);
-  sim::SeqEngine dlb_engine(spec.pe_count);
+  sim::ThreadEngine ddm_engine(spec.pe_count);
+  sim::ThreadEngine dlb_engine(spec.pe_count);
   auto dlb_config = base;
   dlb_config.balancer.kind = ddm::BalancerKind::kPermanent;
   ddm::ParallelMd ddm_md(ddm_engine, spec.box(), initial, base);

@@ -107,10 +107,10 @@ std::vector<Submission> make_queue(int jobs) {
         // dies at virtual t=0, before the first buddy generation exists, so
         // the watchdog cannot heal it and every attempt is unsurvivable. The
         // third: ranks 0 and 4 die with no healing, several ranks of one
-        // phase miss their messages, and the job fails with the lowest such
-        // rank's protocol error, which is not retried. It runs DDM because
-        // under PCMD_CHECKS the DLB ownership check would fail first, on the
-        // driving thread between steps.
+        // phase miss their messages, and every attempt fails with the lowest
+        // such rank's peer-dead error, naming the dead sender. It runs DDM
+        // because under PCMD_CHECKS the DLB ownership check would fail
+        // first, on the driving thread between steps.
         const std::string head =
             base + "--steps 10 --seed " + std::to_string(seed);
         const int shape = i / 10 % 3;
@@ -123,7 +123,7 @@ std::vector<Submission> make_queue(int jobs) {
           s.text = head +
                    " --balancer none --faults seed=1,crash=4@0.02,crash=0@0.02"
                    " --engine thread";
-          s.failure = serve::FailureKind::kProtocol;
+          s.failure = serve::FailureKind::kPeerDead;
         }
         s.category = Category::kPoison;
         break;

@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
 
   // 3. Build the virtual parallel machine (T3E-like cost model) and the
   //    SPMD engine on top of it.
-  sim::SeqEngine engine(spec.pe_count, sim::MachineModel::t3e());
+  sim::ThreadEngine engine(spec.pe_count, sim::MachineModel::t3e());
   ddm::ParallelMdConfig config;
   config.pe_side = spec.pe_side();
   config.m = spec.m;

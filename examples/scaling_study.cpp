@@ -66,7 +66,7 @@ int run_degrade_mode(const pcmd::run::RunSpec& base) {
   sim::FaultInjector injector(spec.fault_plan());
 
   const ddm::ParallelMdConfig config = spec.parallel_config();
-  sim::SeqEngine engine(ddm::engine_rank_count(config));
+  sim::ThreadEngine engine(ddm::engine_rank_count(config));
   engine.set_fault_injector(&injector);
   ddm::ParallelMd md(ddm::EngineConfig{.engine = &engine,
                                        .box = spec.system.box(),
@@ -167,7 +167,7 @@ int main(int argc, char** argv) {
     const auto initial = workload::make_paper_system(spec, rng);
 
     ddm::ParallelMdConfig config = case_spec.parallel_config();
-    sim::SeqEngine engine(ddm::engine_rank_count(config));
+    sim::ThreadEngine engine(ddm::engine_rank_count(config));
     if (injector) engine.set_fault_injector(&*injector);
     obs::TraceSession session(
         engine, case_spec.trace_path ? *case_spec.trace_path + ".p" +

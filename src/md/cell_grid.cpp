@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -247,19 +248,30 @@ PCMD_HOT void ForceWorkspace::load(const ParticleVector& particles,
 
 namespace {
 
+// Smallest and largest position of a cell's particles, per axis.
+struct CellBounds {
+  Vec3 lo;
+  Vec3 hi;
+};
+
 // One target cell's stencil candidates, gathered in stencil order, and the
-// passes' outputs over them. Only a sweep in progress reads it, so one copy
-// per thread serves every workspace the thread sweeps: the memory follows
-// an engine's runner threads (at most the host's cores), not its 16-36
-// ranks. Sized once per sweep for the largest stencil; a thread in steady
-// state never allocates it again.
+// passes' outputs over them, plus the sweep-wide cell bounds and id bitmap.
+// Only a sweep in progress reads it, so one copy per thread serves every
+// workspace the thread sweeps: the memory follows an engine's runner
+// threads (at most the host's cores), not its 16-36 ranks. Sized once per
+// sweep; a thread in steady state never allocates it again.
 struct SweepScratch {
   std::vector<double> x;
   std::vector<double> y;
   std::vector<double> z;
+  std::vector<double> sx;          // image shift per candidate, per axis
+  std::vector<double> sy;
+  std::vector<double> sz;
   std::vector<std::int64_t> id;
   std::vector<double> r2;          // distance pass: r^2 per candidate
   std::vector<std::int32_t> kept;  // in-cut-off, other-id candidates
+  std::vector<CellBounds> bounds;  // per cell, valid for non-empty cells
+  std::vector<std::uint64_t> seen;  // id bitmap of ids_unique()
 };
 thread_local SweepScratch sweep_scratch;
 
@@ -273,20 +285,108 @@ inline double fold(double e, double len, double half) {
   return e - ((e > half ? len : 0.0) + (e < -half ? -len : 0.0));
 }
 
+// The shift fold() subtracts on each axis from every e = fl(p - q) with p in
+// cell bounds `p` and q in cell bounds `q`, if the bounds decide it.
+// Correctly rounded subtraction is monotone, so every such e lies in
+// [fl(lo_p - hi_q), fl(hi_p - lo_q)]; an interval on one side of both of
+// fold's compares fixes both outcomes for every pair, and the shift is the
+// value fold() adds up for each of them (len, -len or +0). Returns false
+// when an axis's interval straddles +-half (or is NaN), i.e. when pairs of
+// this cell pair may fold differently.
+inline bool image_shift(const CellBounds& p, const CellBounds& q,
+                        const Vec3& len, const Vec3& half, Vec3& shift) {
+  for (int a = 0; a < 3; ++a) {
+    const double emin = p.lo[a] - q.hi[a];
+    const double emax = p.hi[a] - q.lo[a];
+    if (emax <= half[a] && emin >= -half[a]) {
+      shift[a] = 0.0;
+    } else if (emin > half[a]) {
+      shift[a] = len[a];
+    } else if (emax < -half[a]) {
+      shift[a] = -len[a];
+    } else {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Bounds of every non-empty cell's slots; an empty cell's entry is left
+// stale, since no candidate reads it. std::min/std::max keep the running
+// bound when the new value is NaN, and a NaN coordinate stays NaN through
+// either distance form, so it is never kept whatever its cell's bounds say.
+PCMD_HOT void cell_bounds(const double* xs, const double* ys,
+                          const double* zs,
+                          std::span<const std::int32_t> offsets,
+                          std::vector<CellBounds>& bounds) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  bounds.resize(offsets.size() - 1);
+  for (std::size_t c = 0; c + 1 < offsets.size(); ++c) {
+    if (offsets[c] == offsets[c + 1]) continue;
+    CellBounds b{Vec3{kInf, kInf, kInf}, Vec3{-kInf, -kInf, -kInf}};
+    for (std::int32_t s = offsets[c]; s < offsets[c + 1]; ++s) {
+      b.lo = Vec3{std::min(b.lo.x, xs[s]), std::min(b.lo.y, ys[s]),
+                  std::min(b.lo.z, zs[s])};
+      b.hi = Vec3{std::max(b.hi.x, xs[s]), std::max(b.hi.y, ys[s]),
+                  std::max(b.hi.z, zs[s])};
+    }
+    bounds[c] = b;
+  }
+}
+
+// True when no id occurs twice among the n slots, decided with a bitmap over
+// [min id, max id]. Declines (returns false, so the sweep compares ids) when
+// that range is wider than 64 n, where the bitmap would outgrow the slots.
+PCMD_HOT bool ids_unique(const std::int64_t* ids, std::size_t n,
+                         std::vector<std::uint64_t>& seen) {
+  if (n == 0) return true;
+  const auto [lo, hi] = std::minmax_element(ids, ids + n);
+  // Unsigned arithmetic: the span of two int64 values fits in a uint64.
+  const auto base = static_cast<std::uint64_t>(*lo);
+  const std::uint64_t span = static_cast<std::uint64_t>(*hi) - base;
+  if (span / 64 >= n) return false;
+  seen.assign(static_cast<std::size_t>(span / 64) + 1, 0);
+  for (std::size_t s = 0; s < n; ++s) {
+    const std::uint64_t bit = static_cast<std::uint64_t>(ids[s]) - base;
+    std::uint64_t& word = seen[static_cast<std::size_t>(bit / 64)];
+    const std::uint64_t mask = std::uint64_t{1} << (bit % 64);
+    if ((word & mask) != 0) return false;
+    word |= mask;
+  }
+  return true;
+}
+
 // Pass 2 of the SoA sweep: r^2 from (px, py, pz) to each of the m gathered
 // candidates, summed left to right like the reference. With restrict
-// pointers and -fno-trapping-math on this file (src/md/CMakeLists.txt) GCC
-// if-converts the selects and vectorises the loop at the baseline ISA.
+// pointers GCC if-converts the selects and vectorises the loop at the
+// baseline ISA. The ctest md.vectorised_loops (src/md/CMakeLists.txt) fails
+// if a loop tagged "// vectorised" here stops being vectorised.
 PCMD_HOT void distance_pass(double px, double py, double pz,
                             const double* __restrict xs,
                             const double* __restrict ys,
                             const double* __restrict zs, std::size_t m,
                             const Vec3& len, const Vec3& half,
                             double* __restrict r2) {
-  for (std::size_t j = 0; j < m; ++j) {
+  for (std::size_t j = 0; j < m; ++j) {  // vectorised
     const double dx = fold(px - xs[j], len.x, half.x);
     const double dy = fold(py - ys[j], len.y, half.y);
     const double dz = fold(pz - zs[j], len.z, half.z);
+    r2[j] = dx * dx + dy * dy + dz * dz;
+  }
+}
+
+// Pass 2 where the cell bounds decided every candidate's image: the shift
+// image_shift() gathered per candidate replaces the fold, so each component
+// is fold(p - q) bit for bit with no compare.
+PCMD_HOT void shifted_distance_pass(
+    double px, double py, double pz, const double* __restrict xs,
+    const double* __restrict ys, const double* __restrict zs,
+    const double* __restrict sxs, const double* __restrict sys,
+    const double* __restrict szs, std::size_t m, double* __restrict r2) {
+  for (std::size_t j = 0; j < m; ++j) {  // vectorised
+    const double dx = (px - xs[j]) - sxs[j];
+    const double dy = (py - ys[j]) - sys[j];
+    const double dz = (pz - zs[j]) - szs[j];
     r2[j] = dx * dx + dy * dy + dz * dz;
   }
 }
@@ -297,12 +397,17 @@ PCMD_HOT void distance_pass(double px, double py, double pz,
 // the reference above (sorted stencil, id-sorted bins, same-id skip, minimum
 // image per component, left-associated r2, the fused LJ kernel), so every
 // running sum rounds identically and the scattered forces are bitwise equal.
-// Per target cell:
+// Once per sweep it records each cell's position bounds and decides whether
+// the ids are unique. Per non-empty target cell:
 //   1. gather the stencil's slots into contiguous candidate arrays, in
-//      stencil order (the reference's j order);
-//   2. per particle, the branch-free distance pass over all m candidates;
+//      stencil order (the reference's j order), each with the image shift
+//      its cell pair's bounds decide on every axis;
+//   2. per particle, the branch-free distance pass over all m candidates:
+//      (p - q) - shift if every shift was decided, else the fold;
 //   3. keep, in order, the candidates with r2 < rc2 and a different id, and
-//      run the kernel and the five running sums over those only.
+//      run the kernel and the five running sums over those only. With
+//      unique ids the particle's own slot is its one same-id entry, so its
+//      r2 is set to +inf instead of comparing ids per candidate.
 // pair_evaluations gains m minus the same-id entries, exactly the
 // reference's count after its same-id skip.
 PCMD_HOT ForceResult accumulate_forces(ParticleVector& particles,
@@ -330,6 +435,9 @@ PCMD_HOT ForceResult accumulate_forces(ParticleVector& particles,
   scratch.x.resize(widest);
   scratch.y.resize(widest);
   scratch.z.resize(widest);
+  scratch.sx.resize(widest);
+  scratch.sy.resize(widest);
+  scratch.sz.resize(widest);
   scratch.id.resize(widest);
   scratch.r2.resize(widest);
   scratch.kept.resize(widest);
@@ -338,35 +446,67 @@ PCMD_HOT ForceResult accumulate_forces(ParticleVector& particles,
   const double* const ys = workspace.y_.data();
   const double* const zs = workspace.z_.data();
   const std::int64_t* const ids = workspace.id_.data();
+  cell_bounds(xs, ys, zs, offsets, scratch.bounds);
+  const bool unique = ids_unique(ids, workspace.size(), scratch.seen);
+  const CellBounds* const bounds = scratch.bounds.data();
   double* const cx = scratch.x.data();
   double* const cy = scratch.y.data();
   double* const cz = scratch.z.data();
+  double* const csx = scratch.sx.data();
+  double* const csy = scratch.sy.data();
+  double* const csz = scratch.sz.data();
   std::int64_t* const cid = scratch.id.data();
   double* const r2s = scratch.r2.data();
   std::int32_t* const kept = scratch.kept.data();
   for (const int c : target_cells) {
+    const std::int32_t first = offsets[c];
+    const std::int32_t last = offsets[c + 1];
+    if (first == last) continue;
     std::size_t m = 0;
+    std::size_t self = 0;  // candidate index of the cell's first slot
+    bool decided = true;
     for (const int nc : grid.stencil(c)) {
+      if (offsets[nc] == offsets[nc + 1]) continue;
+      if (nc == c) self = m;
+      Vec3 shift;
+      decided = decided && image_shift(bounds[c], bounds[nc], len, half, shift);
       for (std::int32_t q = offsets[nc]; q < offsets[nc + 1]; ++q, ++m) {
         cx[m] = xs[q];
         cy[m] = ys[q];
         cz[m] = zs[q];
+        csx[m] = shift.x;
+        csy[m] = shift.y;
+        csz[m] = shift.z;
         cid[m] = ids[q];
       }
     }
-    for (std::int32_t si = offsets[c]; si < offsets[c + 1]; ++si) {
+    for (std::int32_t si = first; si < last; ++si) {
       const double px = xs[si];
       const double py = ys[si];
       const double pz = zs[si];
-      const std::int64_t pid = ids[si];
-      distance_pass(px, py, pz, cx, cy, cz, m, len, half, r2s);
+      if (decided) {
+        shifted_distance_pass(px, py, pz, cx, cy, cz, csx, csy, csz, m, r2s);
+      } else {
+        distance_pass(px, py, pz, cx, cy, cz, m, len, half, r2s);
+      }
       std::size_t n_kept = 0;
       std::size_t same = 0;
-      for (std::size_t j = 0; j < m; ++j) {
-        const bool self = cid[j] == pid;
-        kept[n_kept] = static_cast<std::int32_t>(j);
-        n_kept += static_cast<std::size_t>((r2s[j] < cutoff2) & !self);
-        same += static_cast<std::size_t>(self);
+      if (unique) {
+        r2s[self + static_cast<std::size_t>(si - first)] =
+            std::numeric_limits<double>::infinity();
+        for (std::size_t j = 0; j < m; ++j) {
+          kept[n_kept] = static_cast<std::int32_t>(j);
+          n_kept += static_cast<std::size_t>(r2s[j] < cutoff2);
+        }
+        same = 1;
+      } else {
+        const std::int64_t pid = ids[si];
+        for (std::size_t j = 0; j < m; ++j) {
+          const bool is_self = cid[j] == pid;
+          kept[n_kept] = static_cast<std::int32_t>(j);
+          n_kept += static_cast<std::size_t>((r2s[j] < cutoff2) & !is_self);
+          same += static_cast<std::size_t>(is_self);
+        }
       }
       double fx = 0.0;
       double fy = 0.0;
@@ -375,9 +515,12 @@ PCMD_HOT ForceResult accumulate_forces(ParticleVector& particles,
       double virial = 0.0;
       for (std::size_t k = 0; k < n_kept; ++k) {
         const std::int32_t j = kept[k];
-        const double dx = fold(px - cx[j], len.x, half.x);
-        const double dy = fold(py - cy[j], len.y, half.y);
-        const double dz = fold(pz - cz[j], len.z, half.z);
+        const double ex = px - cx[j];
+        const double ey = py - cy[j];
+        const double ez = pz - cz[j];
+        const double dx = decided ? ex - csx[j] : fold(ex, len.x, half.x);
+        const double dy = decided ? ey - csy[j] : fold(ey, len.y, half.y);
+        const double dz = decided ? ez - csz[j] : fold(ez, len.z, half.z);
         const double r2 = r2s[j];
         const PairKernelResult kr = lj.pair_kernel(r2);
         fx += dx * kr.force_over_r;

@@ -7,7 +7,8 @@
 //
 //   run::SpecError / bad geometry     -> kMalformedSpec   (not retryable)
 //   sim::ChecksumError (SDC caught)   -> kChecksum        (retryable)
-//   sim::PeerDeadError (retries spent)-> kPeerDead        (retryable)
+//   sim::PeerDeadError (retries spent
+//     or the sender crashed)          -> kPeerDead        (retryable)
 //   ddm::RecoveryError (watchdog gave
 //     up: unsurvivable crash)         -> kUnsurvivable    (retryable*)
 //   other sim::ProtocolError          -> kProtocol        (not retryable)

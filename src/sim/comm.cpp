@@ -282,6 +282,14 @@ Buffer Engine::do_recv(int rank, int src, int tag) {
   auto msg = do_try_recv(rank, src, tag);
   if (!msg) {
     PCMD_CHECKER_HOOK(this, on_recv_missing(rank, src, tag, phase_));
+    if (!alive(src)) {
+      throw PeerDeadError(src, tag,
+                          "Comm::recv: rank " + std::to_string(src) +
+                              " is dead, so no message tag " +
+                              std::to_string(tag) + " reaches rank " +
+                              std::to_string(rank) + " in phase " +
+                              std::to_string(phase_));
+    }
     throw ProtocolError("Comm::recv: no message from rank " +
                         std::to_string(src) + " tag " + std::to_string(tag) +
                         " visible to rank " + std::to_string(rank) +

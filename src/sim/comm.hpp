@@ -29,6 +29,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 // Compile-time switch for the protocol-checker hooks (the PCMD_CHECKER CMake
@@ -206,6 +207,23 @@ class ProtocolError : public std::logic_error {
 class ChecksumError : public ProtocolError {
  public:
   using ProtocolError::ProtocolError;
+};
+
+// Raised when a peer is gone for good: a reliable channel spent its retry
+// budget on it (every copy of a message was lost or corrupted), or a receive
+// found no message from a rank that has crashed. The membership layer
+// catches it to declare the peer dead instead of aborting the run.
+class PeerDeadError : public ProtocolError {
+ public:
+  PeerDeadError(int peer, int tag, const std::string& what)
+      : ProtocolError(what), peer_(peer), tag_(tag) {}
+
+  int peer() const { return peer_; }
+  int tag() const { return tag_; }
+
+ private:
+  int peer_;
+  int tag_;
 };
 
 // Engine: owns rank state (clocks, mailboxes, collectives) and executes

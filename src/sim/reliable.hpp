@@ -38,23 +38,6 @@ struct ReliablePolicy {
   double backoff_factor = 2.0;  // multiplier per subsequent retry
 };
 
-// Raised when a channel's retry budget is exhausted: every copy of a message
-// was lost or corrupted, which under the fault model means the peer (or the
-// link to it) is gone for good. The membership layer catches this to declare
-// the peer dead instead of aborting the run.
-class PeerDeadError : public ProtocolError {
- public:
-  PeerDeadError(int peer, int tag, const std::string& what)
-      : ProtocolError(what), peer_(peer), tag_(tag) {}
-
-  int peer() const { return peer_; }
-  int tag() const { return tag_; }
-
- private:
-  int peer_;
-  int tag_;
-};
-
 // Per-channel accounting. Order-independent totals: identical across
 // engines for the same fault plan.
 struct ChannelCounters {

@@ -122,23 +122,33 @@ TEST(ForceParity, WorkspaceReuseAcrossShrinkingLoads) {
 }
 
 // ---------------------------------------------------------------------------
-// Generated battery. Case k draws everything from its own seed, and k's
-// residues pick the geometry, so the cases cover:
+// Generated battery. Case k is kind k % kKinds and variant k / kKinds; it
+// draws everything from its own seed. The kinds cover:
 // - 1, 2 and 3-5 cells per axis (with 1 or 2 the stencil deduplicates) and
 //   anisotropic boxes;
-// - cut-offs from 0.4 of the smallest cell edge up to that edge;
-// - all cells, a random subset, or a single cell as targets;
 // - all particles in one cell (a gather buffer far larger than usual) and
 //   sparse systems with many empty cells;
 // - particles on cell faces and at 0;
 // - a 1-cell-per-axis box whose cut-off exceeds L/2, with pairs exactly
 //   +-L/2 apart (the minimum image's compare boundary);
+// - 5-7 cells per axis with the particles in the first and last layers, so
+//   that cell pairs' bounds decide every image shift: +0, +L and -L;
+// - 3-4 cells per axis with pairs near L/2 apart, so that the bounds leave
+//   axes undecided and the sweep folds per candidate;
+// - 2-5 cells per axis with pairs exactly +-L/2 apart across two cells.
+// The variant's residues pick the rest:
+// - cut-offs from 0.4 of the smallest cell edge up to that edge;
+// - ids in or against storage order;
 // - one id present twice, close enough to share a stencil (the reference
-//   skips and does not count every same-id entry).
+//   skips and does not count every same-id entry);
+// - unique ids spread wider than the sweep's uniqueness check accepts, so
+//   that it compares ids per candidate;
+// - all cells, a random subset, or a single cell as targets.
 // Forces and sums are compared as bit patterns, so a NaN or a signed zero
 // must match too.
 
-constexpr int kBatteryCases = 200;
+constexpr int kKinds = 8;
+constexpr int kBatteryCases = 40 * kKinds;
 
 struct SweepCase {
   Box box;
@@ -171,42 +181,69 @@ double half_box_partner(double p, double len) {
   return p + 0.5 * len < len ? p + 0.5 * len : p - 0.5 * len;
 }
 
+// Coordinate in layer 0 or n - 1 of an axis of n cells of edge `edge`.
+double outer_layer(Rng& rng, double edge, int n) {
+  const double offset = rng.uniform(0.0, edge);
+  return rng.uniform_index(2) == 0 ? offset : (n - 1) * edge + offset;
+}
+
 SweepCase draw_case(int k) {
   Rng rng(0xF0CE5EEDull + static_cast<std::uint64_t>(k));
   SweepCase sc;
-  const int shape = k % 5;  // 0-1 random/sparse, 2 one cell, 3 faces, 4 half
-  auto dim = [&] { return 1 + static_cast<int>(rng.uniform_index(5)); };
+  // 0-1 random/sparse, 2 one cell, 3 faces, 4 half box, 5 outer layers,
+  // 6 near half box, 7 half box across cells.
+  const int kind = k % kKinds;
+  const int variant = k / kKinds;
+  auto dim = [&](int lo, int hi) {
+    return lo + static_cast<int>(rng.uniform_index(
+                    static_cast<std::uint64_t>(hi - lo + 1)));
+  };
   Vec3 edge;
-  if (shape == 4) {
+  if (kind == 4) {
     sc.nx = sc.ny = sc.nz = 1;
     const double len = 2.0 + static_cast<double>(rng.uniform_index(3));
     edge = Vec3{len, len, len};
     sc.cutoff = len * rng.uniform(0.55, 1.0);  // > L/2, <= the cell edge
   } else {
-    sc.nx = dim();
-    sc.ny = dim();
-    sc.nz = dim();
-    edge = Vec3{rng.uniform(1.0, 3.0), rng.uniform(1.0, 3.0),
-                rng.uniform(1.0, 3.0)};
-    const double min_edge = std::min({edge.x, edge.y, edge.z});
-    sc.cutoff = k % 7 == 0 ? min_edge : min_edge * rng.uniform(0.4, 1.0);
+    const int lo = kind == 5 ? 5 : kind == 6 ? 3 : kind == 7 ? 2 : 1;
+    const int hi = kind == 5 ? 7 : kind == 6 ? 4 : 5;
+    sc.nx = dim(lo, hi);
+    sc.ny = dim(lo, hi);
+    sc.nz = dim(lo, hi);
+    if (kind == 7) {
+      // Edges on a 1/8 grid, so that L/2 shifts of dyadic points are exact.
+      auto dyadic_edge = [&] { return 1.0 + 0.125 * rng.uniform_index(17); };
+      edge = Vec3{dyadic_edge(), dyadic_edge(), dyadic_edge()};
+    } else {
+      edge = Vec3{rng.uniform(1.0, 3.0), rng.uniform(1.0, 3.0),
+                  rng.uniform(1.0, 3.0)};
+    }
   }
   sc.box = Box{Vec3{edge.x * sc.nx, edge.y * sc.ny, edge.z * sc.nz}};
   const Vec3 len = sc.box.length;
+  if (kind != 4) {
+    // The grid's own cell edges, len / n, which may round below `edge`.
+    const double min_edge =
+        std::min({len.x / sc.nx, len.y / sc.ny, len.z / sc.nz});
+    sc.cutoff =
+        variant % 7 == 0 ? min_edge : min_edge * rng.uniform(0.4, 1.0);
+  }
   const int cells = sc.nx * sc.ny * sc.nz;
 
   auto& ps = sc.particles;
   std::int64_t next_id = 0;
-  switch (shape) {
+  auto add_random = [&](std::uint64_t n) {
+    for (std::uint64_t i = 0; i < n; ++i) {
+      ps.push_back(particle_at(next_id++, rng.uniform_in_box(len)));
+    }
+  };
+  switch (kind) {
     case 0:
     case 1: {
-      // Shape 1 is sparse: at most one particle per two cells.
+      // Kind 1 is sparse: at most one particle per two cells.
       const auto cap = static_cast<std::uint64_t>(
-          shape == 0 ? std::min(6 * cells, 150) : cells / 2 + 1);
-      const auto n = rng.uniform_index(cap + 1);
-      for (std::uint64_t i = 0; i < n; ++i) {
-        ps.push_back(particle_at(next_id++, rng.uniform_in_box(len)));
-      }
+          kind == 0 ? std::min(6 * cells, 150) : cells / 2 + 1);
+      add_random(rng.uniform_index(cap + 1));
       break;
     }
     case 2: {
@@ -241,9 +278,44 @@ SweepCase draw_case(int k) {
       }
       break;
     }
+    case 5: {
+      // Every particle in the first or last layer of at least one axis, so
+      // cell pairs across the periodic boundary interact.
+      const auto n = 20 + rng.uniform_index(101);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        Vec3 p = rng.uniform_in_box(len);
+        const auto axes = 1 + rng.uniform_index(7);  // nonzero subset
+        if (axes & 1) p.x = outer_layer(rng, edge.x, sc.nx);
+        if (axes & 2) p.y = outer_layer(rng, edge.y, sc.ny);
+        if (axes & 4) p.z = outer_layer(rng, edge.z, sc.nz);
+        ps.push_back(particle_at(next_id++, wrap(p, sc.box)));
+      }
+      break;
+    }
+    case 6: {
+      // Pairs a little more or less than L/2 apart along one, two or three
+      // axes, among random particles.
+      const auto pairs = 2 + rng.uniform_index(8);
+      for (std::uint64_t i = 0; i < pairs; ++i) {
+        const Vec3 p = rng.uniform_in_box(len);
+        const auto axes = 1 + rng.uniform_index(7);
+        auto near_half = [&](double x, double l, double e) {
+          return wrap_coordinate(x + 0.5 * l + rng.uniform(-0.1, 0.1) * e, l);
+        };
+        const Vec3 q{axes & 1 ? near_half(p.x, len.x, edge.x) : p.x,
+                     axes & 2 ? near_half(p.y, len.y, edge.y) : p.y,
+                     axes & 4 ? near_half(p.z, len.z, edge.z) : p.z};
+        ps.push_back(particle_at(next_id++, p));
+        ps.push_back(particle_at(next_id++, q));
+      }
+      add_random(10 + rng.uniform_index(
+                          static_cast<std::uint64_t>(std::min(3 * cells, 90))));
+      break;
+    }
     default: {
-      // Pairs exactly L/2 apart along one, two or three axes, plus a few
-      // random particles.
+      // Kinds 4 and 7: pairs exactly L/2 apart along one, two or three
+      // axes, plus a few random particles. With more than one cell per axis
+      // the two lie in different cells.
       const auto pairs = 1 + rng.uniform_index(4);
       for (std::uint64_t i = 0; i < pairs; ++i) {
         const Vec3 p{dyadic(rng, len.x), dyadic(rng, len.y),
@@ -255,22 +327,19 @@ SweepCase draw_case(int k) {
         ps.push_back(particle_at(next_id++, p));
         ps.push_back(particle_at(next_id++, q));
       }
-      const auto extra = rng.uniform_index(6);
-      for (std::uint64_t i = 0; i < extra; ++i) {
-        ps.push_back(particle_at(next_id++, rng.uniform_in_box(len)));
-      }
+      add_random(rng.uniform_index(6));
       break;
     }
   }
 
-  // Odd cases number the particles against their storage order, so the
+  // Odd variants number the particles against their storage order, so the
   // id-sorted bins permute them.
-  if (k % 2 == 1) {
+  if (variant % 2 == 1) {
     for (auto& p : ps) p.id = next_id - 1 - p.id;
   }
-  // Every third case gives one id to two particles less than half a cell
+  // Every third variant gives one id to two particles less than half a cell
   // apart, so each lies in the other's stencil.
-  if (k % 3 == 0 && ps.size() >= 2) {
+  if (variant % 3 == 0 && ps.size() >= 2) {
     const auto i = rng.uniform_index(ps.size());
     auto j = rng.uniform_index(ps.size() - 1);
     if (j >= i) ++j;
@@ -280,8 +349,14 @@ SweepCase draw_case(int k) {
     ps[j].id = ps[i].id;
     ps[j].position = wrap(ps[i].position + nudge, sc.box);
   }
+  // Every fifth variant spreads the ids 2^40 apart: still in order and
+  // still unique (or duplicated) as before, but too wide for the sweep's
+  // id bitmap.
+  if (variant % 5 == 2) {
+    for (auto& p : ps) p.id *= std::int64_t{1} << 40;
+  }
 
-  switch (k % 4) {
+  switch (variant % 4) {
     case 1:
       for (int c = 0; c < cells; ++c) {
         if (rng.uniform_index(2) == 0) sc.targets.push_back(c);

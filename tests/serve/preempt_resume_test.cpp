@@ -164,17 +164,19 @@ TEST(Runner, TrajectoryDigestIsPinned) {
 
 TEST(Runner, ThreadEngineRecordsTheSeqEnginePhaseError) {
   // Rank 5 dies, and several ranks of one phase then miss its message. The
-  // stored error is the lowest such rank's on both engines, every time.
+  // stored error is the lowest such rank's on both engines, every time, and
+  // it names the dead sender.
   const std::string spec =
       "--pe 16 --m 2 --density 0.2 --steps 6 --seed 5 "
       "--faults seed=2,crash=5@0.01 --engine ";
   const auto seq = run_attempt(JobSpec::parse(spec + "seq"), {});
   ASSERT_EQ(seq.status, AttemptStatus::kFailed);
-  ASSERT_EQ(seq.failure, FailureKind::kProtocol) << seq.error;
+  ASSERT_EQ(seq.failure, FailureKind::kPeerDead) << seq.error;
+  EXPECT_NE(seq.error.find("rank 5 is dead"), std::string::npos) << seq.error;
   const auto thread_job = JobSpec::parse(spec + "thread");
   for (int run = 0; run < 20; ++run) {
     const auto result = run_attempt(thread_job, {});
-    EXPECT_EQ(result.failure, FailureKind::kProtocol) << "run " << run;
+    EXPECT_EQ(result.failure, FailureKind::kPeerDead) << "run " << run;
     EXPECT_EQ(result.error, seq.error) << "run " << run;
   }
 }

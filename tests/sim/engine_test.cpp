@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <numeric>
+#include <string>
 #include <vector>
 
 namespace pcmd::sim {
@@ -93,6 +94,29 @@ TEST_P(EngineTest, RecvWithoutSendThrows) {
   engine->run_phase([](Comm&) {});
   EXPECT_THROW(engine->run_phase([](Comm& comm) {
     if (comm.rank() == 0) comm.recv(1, 99);
+  }),
+               ProtocolError);
+}
+
+TEST_P(EngineTest, RecvFromDeadRankNamesTheDeadPeer) {
+  // No message can come from a crashed rank: the receive reports the dead
+  // sender, not the phase order, and stays a ProtocolError for old callers.
+  auto engine = make_engine(GetParam(), 3);
+  engine->declare_dead(2);
+  try {
+    engine->run_phase([](Comm& comm) {
+      if (comm.rank() == 0) comm.recv(2, 7);
+    });
+    FAIL() << "expected PeerDeadError";
+  } catch (const PeerDeadError& e) {
+    EXPECT_EQ(e.peer(), 2);
+    EXPECT_EQ(e.tag(), 7);
+    EXPECT_EQ(std::string(e.what()),
+              "Comm::recv: rank 2 is dead, so no message tag 7 reaches rank "
+              "0 in phase 1");
+  }
+  EXPECT_THROW(engine->run_phase([](Comm& comm) {
+    if (comm.rank() == 1) comm.recv(2, 7);
   }),
                ProtocolError);
 }
