@@ -52,7 +52,10 @@ int main(int argc, char** argv) {
   pillar_config.dt = spec.dt;
   pillar_config.rescale_temperature = spec.temperature;
   pillar_config.balancer.kind = ddm::BalancerKind::kPermanent;
-  ddm::ParallelMd pillar(pillar_engine, spec.box(), initial, pillar_config);
+  ddm::ParallelMd pillar(ddm::EngineConfig{.engine = &pillar_engine,
+                                           .box = spec.box(),
+                                           .initial = &initial},
+                         pillar_config);
 
   // Slab ring, static and shifting.
   auto make_slab = [&](bool shift) {

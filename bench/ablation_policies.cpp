@@ -176,7 +176,10 @@ BakeResult run_bakeoff(ddm::BalancerKind kind, const std::string& shape,
   const Box box = Box::cubic(config.pe_side * config.m * config.cutoff);
 
   sim::ThreadEngine engine(config.pe_side * config.pe_side);
-  ddm::ParallelMd md(engine, box, bake_workload(shape, box), config);
+  const auto initial = bake_workload(shape, box);
+  ddm::ParallelMd md(ddm::EngineConfig{.engine = &engine, .box = box,
+                                       .initial = &initial},
+                     config);
 
   BakeResult result;
   result.policy = ddm::balancer_name(kind);

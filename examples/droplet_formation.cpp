@@ -48,8 +48,14 @@ int main(int argc, char** argv) {
   sim::ThreadEngine dlb_engine(spec.pe_count);
   auto dlb_config = base;
   dlb_config.balancer.kind = ddm::BalancerKind::kPermanent;
-  ddm::ParallelMd ddm_md(ddm_engine, spec.box(), initial, base);
-  ddm::ParallelMd dlb_md(dlb_engine, spec.box(), initial, dlb_config);
+  ddm::ParallelMd ddm_md(ddm::EngineConfig{.engine = &ddm_engine,
+                                           .box = spec.box(),
+                                           .initial = &initial},
+                         base);
+  ddm::ParallelMd dlb_md(ddm::EngineConfig{.engine = &dlb_engine,
+                                           .box = spec.box(),
+                                           .initial = &initial},
+                         dlb_config);
 
   Table table({"step", "largest cluster", "clusters", "empty cells",
                "DDM imb", "DLB imb", "transfers"});

@@ -53,7 +53,9 @@ int main(int argc, char** argv) {
   config.rescale_interval = spec.rescale_interval;
   config.balancer.kind =
       dlb ? ddm::BalancerKind::kPermanent : ddm::BalancerKind::kNone;
-  ddm::ParallelMd md(engine, spec.box(), initial, config);
+  ddm::ParallelMd md(ddm::EngineConfig{.engine = &engine, .box = spec.box(),
+                                       .initial = &initial},
+                     config);
 
   // 4. Run, reporting every 50 steps.
   Table table({"step", "T*", "E_pot/N", "Tt [s]", "Fmax/Fmin", "transfers"});

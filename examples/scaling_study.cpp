@@ -13,7 +13,8 @@
 //                   [--degrade rank=4,at=0.05] [--degrade-factor 6]
 //
 // --trace PATH writes one Chrome trace-event JSON (PATH.p9.json, PATH.p16.json,
-// ... — open in Perfetto) and one per-step metrics CSV per PE-grid size.
+// ... — open in Perfetto) and one per-step metrics CSV per PE-grid size; the
+// --degrade mode's 3x3 run writes PATH.p9.json.
 //
 // --faults PLAN injects deterministic message faults into the sweep and
 // routes all traffic through the reliable channel (physics unchanged).
@@ -36,6 +37,7 @@
 #include "obs/metrics.hpp"
 #include "obs/session.hpp"
 #include "run/run_spec.hpp"
+#include "run/trajectory.hpp"
 #include "sim/fault.hpp"
 #include "sim/trace.hpp"
 #include "util/cli.hpp"
@@ -46,8 +48,16 @@
 #include <iostream>
 #include <optional>
 #include <stdexcept>
+#include <string>
 
 namespace {
+
+// The --trace file of one PE-grid size; empty (no trace) without --trace.
+std::string trace_file(const pcmd::run::RunSpec& spec) {
+  return spec.trace_path ? *spec.trace_path + ".p" +
+                               std::to_string(spec.system.pe_count) + ".json"
+                         : "";
+}
 
 // The --degrade mode: DLB absorbing a permanently slowed rank. The degrade
 // spec itself ("rank=K,at=T") is parsed by the shared run::RunSpec parser.
@@ -65,13 +75,16 @@ int run_degrade_mode(const pcmd::run::RunSpec& base) {
   // fault_plan() folds the degrade stall into any --faults plan.
   sim::FaultInjector injector(spec.fault_plan());
 
-  const ddm::ParallelMdConfig config = spec.parallel_config();
+  ddm::ParallelMdConfig config = spec.parallel_config();
   sim::ThreadEngine engine(ddm::engine_rank_count(config));
   engine.set_fault_injector(&injector);
+  obs::TraceSession session(engine, trace_file(spec));
+  config.trace = session.collector();
   ddm::ParallelMd md(ddm::EngineConfig{.engine = &engine,
                                        .box = spec.system.box(),
                                        .initial = &initial},
                      config);
+  obs::MetricsRecorder recorder(engine);
 
   std::printf("== degrade mode: rank %d slows %.1fx at t=%g s (3x3, m=%d, "
               "balancer %s) ==\n",
@@ -90,6 +103,7 @@ int run_degrade_mode(const pcmd::run::RunSpec& base) {
   for (std::int64_t i = 0; i < spec.steps; ++i) {
     const double start = engine.makespan();
     const auto stats = md.step();
+    recorder.record(run::step_input(stats));
     Bucket* b = &before;
     if (start >= degrade.at) {
       ++steps_after;
@@ -101,6 +115,7 @@ int run_degrade_mode(const pcmd::run::RunSpec& base) {
     b->transfers += stats.transfers;
     b->steps += 1;
   }
+  session.finish(recorder.rows());
 
   Table table({"phase", "steps", "Fmax [s]", "Fave [s]", "Fmin [s]",
                "(Fmax-Fmin)/Fave", "DLB transfers"});
@@ -169,11 +184,7 @@ int main(int argc, char** argv) {
     ddm::ParallelMdConfig config = case_spec.parallel_config();
     sim::ThreadEngine engine(ddm::engine_rank_count(config));
     if (injector) engine.set_fault_injector(&*injector);
-    obs::TraceSession session(
-        engine, case_spec.trace_path ? *case_spec.trace_path + ".p" +
-                                           std::to_string(spec.pe_count) +
-                                           ".json"
-                                     : "");
+    obs::TraceSession session(engine, trace_file(case_spec));
     config.trace = session.collector();
     ddm::ParallelMd md(ddm::EngineConfig{.engine = &engine, .box = spec.box(),
                                          .initial = &initial},
@@ -184,23 +195,7 @@ int main(int argc, char** argv) {
     int checkpoints_taken = 0;
     const double before = engine.makespan();
     for (std::int64_t i = 0; i < steps; ++i) {
-      const auto stats = md.step();
-      obs::MetricsRecorder::StepInput input;
-      input.step = stats.step;
-      input.t_step = stats.t_step;
-      input.force_max = stats.force_max;
-      input.force_avg = stats.force_avg;
-      input.force_min = stats.force_min;
-      input.transfers = stats.transfers;
-      input.potential_energy = stats.potential_energy;
-      input.kinetic_energy = stats.kinetic_energy;
-      input.temperature = stats.temperature;
-      input.retransmissions = stats.retransmissions;
-      input.checkpoint_bytes = stats.checkpoint_bytes;
-      input.rollbacks = stats.rollbacks;
-      input.failovers = stats.failovers;
-      input.particles_recovered = stats.particles_recovered;
-      recorder.record(input);
+      recorder.record(run::step_input(md.step()));
       if (checkpoint_every > 0 && (i + 1) % checkpoint_every == 0) {
         last_checkpoint = md.checkpoint();
         ++checkpoints_taken;

@@ -1,15 +1,6 @@
-// ParallelMd's construction context, and the compute charge both ddm
-// engines share.
-//
-// ParallelMd historically took its execution context as a run of
-// positional constructor arguments — (engine, box, initial particles) or
-// (engine, checkpoint). EngineConfig names those pieces once, so call sites
-// (and the run::RunSpec layer built on top of the engine) read
-// declaratively and new context can be added without widening every
-// constructor. The positional constructors remain as thin forwarding shims.
-// SlabMd only starts fresh, so its one constructor takes (engine, box,
-// initial) and needs no "exactly one of" check. Both engines charge their
-// compute through advance_compute below.
+// ParallelMd's construction context. SlabMd only starts fresh, so its one
+// constructor takes (engine, box, initial) and needs no "exactly one of"
+// check.
 #pragma once
 
 #include "md/particle.hpp"
@@ -49,19 +40,6 @@ inline sim::Engine& validated_engine(const EngineConfig& setup,
         ": EngineConfig needs exactly one of initial and checkpoint");
   }
   return *setup.engine;
-}
-
-// Charges `seconds` of compute to the calling rank's clock and to `busy`,
-// and returns the virtual time that actually passed. The engines charge
-// this measured interval, not the requested cost: an injected stall
-// (sim/fault.hpp) stretches it, and the stretch must reach the rank's busy
-// time for load balancing to see, and shed, the slow rank.
-inline double advance_compute(sim::Comm& comm, double seconds, double& busy) {
-  const double before = comm.clock();
-  comm.advance(seconds);
-  const double elapsed = comm.clock() - before;
-  busy += elapsed;
-  return elapsed;
 }
 
 }  // namespace pcmd::ddm

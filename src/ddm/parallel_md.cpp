@@ -12,6 +12,7 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 
@@ -92,18 +93,6 @@ ParallelMd::ParallelMd(const EngineConfig& setup,
   }
 }
 
-ParallelMd::ParallelMd(sim::Engine& engine, const Box& box,
-                       const md::ParticleVector& initial,
-                       const ParallelMdConfig& config)
-    : ParallelMd(EngineConfig{.engine = &engine, .box = box,
-                              .initial = &initial},
-                 config) {}
-
-ParallelMd::ParallelMd(sim::Engine& engine, const sim::Buffer& checkpoint,
-                       const ParallelMdConfig& config)
-    : ParallelMd(EngineConfig{.engine = &engine, .checkpoint = &checkpoint},
-                 config) {}
-
 void ParallelMd::init_fresh(const Box& box,
                             const md::ParticleVector& initial) {
   box_ = box;
@@ -129,7 +118,7 @@ void ParallelMd::init_fresh(const Box& box,
     ranks_[layout_.home_rank(col)]->owned.push_back(particle);
   }
 
-  finish_construction(false, {});
+  finish_construction(/*fresh=*/true);
 }
 
 void ParallelMd::init_resume(const sim::Buffer& checkpoint) {
@@ -152,8 +141,6 @@ void ParallelMd::init_resume(const sim::Buffer& checkpoint) {
       throw md::CheckpointError(
           "ParallelMd: checkpointed box too small for this cut-off");
     }
-    std::vector<double> last_busy(static_cast<std::size_t>(layout_.pe_count()),
-                                  0.0);
     ranks_.reserve(layout_.pe_count());
     for (int r = 0; r < layout_.pe_count(); ++r) {
       auto rank = std::make_unique<Rank>(layout_);
@@ -176,7 +163,7 @@ void ParallelMd::init_resume(const sim::Buffer& checkpoint) {
         }
         rank->map.set_owner(col, owner);
       }
-      last_busy[static_cast<std::size_t>(r)] = unpacker.get<double>();
+      rank->last_busy = unpacker.get<double>();
       rank->force_seconds = unpacker.get<double>();
       ranks_.push_back(std::move(rank));
     }
@@ -184,15 +171,14 @@ void ParallelMd::init_resume(const sim::Buffer& checkpoint) {
       throw md::CheckpointError(
           "ParallelMd: trailing bytes in checkpoint payload");
     }
-    finish_construction(true, last_busy);
+    finish_construction(/*fresh=*/false);
   } catch (const std::out_of_range& e) {
     throw md::CheckpointError(std::string("ParallelMd: truncated checkpoint: ") +
                              e.what());
   }
 }
 
-void ParallelMd::finish_construction(
-    bool resume, const std::vector<double>& resume_last_busy) {
+void ParallelMd::finish_construction(bool fresh) {
   // Buddy envelopes and restore traffic must survive a lossy link, so
   // healing makes reliable routing mandatory.
   if (healing_enabled()) {
@@ -245,50 +231,27 @@ void ParallelMd::finish_construction(
     }
   }
 
-  run_init_phases();
-  if (resume) {
-    for (int r = 0; r < layout_.pe_count(); ++r) {
-      ranks_[static_cast<std::size_t>(r)]->last_busy =
-          resume_last_busy[static_cast<std::size_t>(r)];
-    }
-  }
+  run_init_phases(fresh);
 }
 
-void ParallelMd::run_init_phases() {
+void ParallelMd::run_init_phases(bool fresh) {
   // Initial force computation so the first step's drift has f(t). On resume
   // (checkpoint constructor or rollback) the forces recompute bitwise from
-  // the restored positions; the restored busy times then overwrite what this
-  // phase charged, because they — not the init cost — drive the next DLB
-  // decision.
+  // the restored positions.
   engine_->run_phase([this](sim::Comm& comm) {
     const int me = membership_.role_of(comm.rank());
     if (me < 0) return;  // spare or roleless host: idle at the barrier
     send_halo(comm, *ranks_[static_cast<std::size_t>(me)], me, kTagInitHalo);
   });
-  engine_->run_phase([this](sim::Comm& comm) {
+  engine_->run_phase([this, fresh](sim::Comm& comm) {
     const int me = membership_.role_of(comm.rank());
     if (me < 0) return;
     Rank& rank = *ranks_[static_cast<std::size_t>(me)];
     absorb_halo(comm, rank, me, kTagInitHalo);
-    rank.bins.rebuild(grid_, rank.with_halo);
-    auto& targets = rank.target_cells;
-    targets.clear();
-    for (const int col : owned_columns(rank, me)) {
-      const auto [cx, cy] = layout_.column_coord(col);
-      for (int z = 0; z < grid_.nz(); ++z) {
-        targets.push_back(grid_.flat_index({cx, cy, z}));
-      }
-    }
-    std::sort(targets.begin(), targets.end());
-    const auto result = md::accumulate_forces(
-        rank.with_halo, grid_, rank.bins, targets, lj_, rank.workspace);
-    const double cost =
-        engine_->model().pair_cost * result.pair_evaluations +
-        engine_->model().cell_cost * targets.size();
-    rank.busy_accum = 0.0;
-    rank.last_busy = advance_compute(comm, cost, rank.busy_accum);
-    rank.owned.assign(rank.with_halo.begin(),
-                      rank.with_halo.begin() + rank.owned.size());
+    target_owned_cells(rank, me);
+    const double seconds =
+        rank.compute_forces(comm, engine_->model(), grid_, lj_).second;
+    if (fresh) rank.last_busy = seconds;
   });
 }
 
@@ -330,16 +293,12 @@ void ParallelMd::verify_step_invariants() const {
   }
   if (dlb_active_this_step_) {
     // An attempt in which a role crashed leaves that role's columns
-    // unclaimed until the recovery driver repairs them after the step. The
-    // strict per-step check would flag that window as a bug; the repaired
-    // state is asserted by the caller (and the chaos battery) via
-    // check_ownership() once stepping is done.
-    if (healing_enabled()) {
-      int live = 0;
-      for (int l = 0; l < layout_.pe_count(); ++l) {
-        if (role_live(l)) ++live;
-      }
-      if (live < layout_.pe_count()) return;
+    // unclaimed. With healing the recovery driver repairs them after the
+    // step, and the caller (and the chaos battery) asserts the repaired
+    // state via check_ownership(); without it the next receive from the
+    // dead role fails as peer-dead, in every build.
+    for (int l = 0; l < layout_.pe_count(); ++l) {
+      if (!role_live(l)) return;
     }
     const core::InvariantReport report = check_ownership();
     if (!report.ok) {
@@ -359,9 +318,18 @@ int ParallelMd::column_of_position(const Vec3& position) const {
   return layout_.column_id(cell.x, cell.y);
 }
 
-std::vector<int> ParallelMd::owned_columns(const Rank& rank,
-                                           int rank_id) const {
-  return rank.map.columns_of(rank_id);
+void ParallelMd::target_owned_cells(Rank& rank, int me) const {
+  auto& targets = rank.target_cells;
+  targets.clear();
+  const auto cols = rank.map.columns_of(me);
+  targets.reserve(cols.size() * grid_.nz());
+  for (const int col : cols) {
+    const auto [cx, cy] = layout_.column_coord(col);
+    for (int z = 0; z < grid_.nz(); ++z) {
+      targets.push_back(grid_.flat_index({cx, cy, z}));
+    }
+  }
+  std::sort(targets.begin(), targets.end());
 }
 
 void ParallelMd::send_to(sim::Comm& comm, Rank& rank, int dst, int tag,
@@ -432,7 +400,7 @@ void ParallelMd::send_halo(sim::Comm& comm, Rank& rank, int me, int tag) {
   auto& columns_for = rank.halo_columns_for;
   columns_for.resize(neighbors.size());
   for (auto& cols : columns_for) cols.clear();
-  for (const int col : owned_columns(rank, me)) {
+  for (const int col : rank.map.columns_of(me)) {
     const auto [cx, cy] = layout_.column_coord(col);
     for (int dx = -1; dx <= 1; ++dx) {
       for (int dy = -1; dy <= 1; ++dy) {
@@ -479,29 +447,21 @@ void ParallelMd::send_halo(sim::Comm& comm, Rank& rank, int me, int tag) {
 }
 
 void ParallelMd::absorb_halo(sim::Comm& comm, Rank& rank, int me, int tag) {
-  rank.with_halo = rank.owned;
+  rank.begin_halo();
   for (const int nb : layout_.pe_torus().neighbors8(me)) {
     auto payload = recv_from(comm, rank, nb, tag);
     if (!payload) continue;  // dead neighbour: its halo is gone this step
     PCMD_HB_ACCESS(comm, "halo", nb, /*is_write=*/false, "halo");
-    for (const auto& record : unpack_halo(std::move(*payload))) {
-      md::Particle p;
-      p.id = record.id;
-      p.position = record.position;
-      rank.with_halo.push_back(p);
-    }
+    rank.add_halo(unpack_halo(std::move(*payload)));
   }
 }
 
 void ParallelMd::phase_a_drift_and_digest(sim::Comm& comm, int me) {
   Rank& rank = *ranks_[me];
-  rank.busy_accum = 0.0;
   rank.transfers_made = 0;
 
   span_begin(comm, spans_.drift);
-  advance_compute(comm, engine_->model().particle_cost * rank.owned.size(),
-                  rank.busy_accum);
-  integrator_.drift(rank.owned, box_);
+  rank.drift(comm, engine_->model(), integrator_, box_);
   span_end(comm, spans_.drift);
 
   // Silent data corruption: scramble one particle's velocity, keyed on the
@@ -520,7 +480,7 @@ void ParallelMd::phase_a_drift_and_digest(sim::Comm& comm, int me) {
   }
 
   std::vector<std::int32_t> columns;
-  for (const int col : owned_columns(rank, me)) {
+  for (const int col : rank.map.columns_of(me)) {
     columns.push_back(static_cast<std::int32_t>(col));
   }
   // My digest (busy time + column list) is shared state: neighbours read it
@@ -536,19 +496,21 @@ void ParallelMd::phase_b_decide_and_migrate(sim::Comm& comm, int me) {
   Rank& rank = *ranks_[me];
   const auto neighbors = layout_.pe_torus().neighbors8(me);
 
-  rank.neighbor_times.assign(neighbors.size(), 0.0);
+  core::NeighborTimes times;
+  times.self_time = rank.last_busy;
+  times.neighbor_times.assign(neighbors.size(), 0.0);
   for (std::size_t k = 0; k < neighbors.size(); ++k) {
     auto payload = recv_from(comm, rank, neighbors[k], kTagDigest);
     if (!payload) {
       // Dead neighbour: infinitely slow, so the DLB never targets it.
-      rank.neighbor_times[k] = std::numeric_limits<double>::infinity();
+      times.neighbor_times[k] = std::numeric_limits<double>::infinity();
       continue;
     }
     double busy = 0.0;
     std::vector<std::int32_t> columns;
     unpack_digest(std::move(*payload), busy, columns);
     PCMD_HB_ACCESS(comm, "digest", neighbors[k], /*is_write=*/false, "dlb");
-    rank.neighbor_times[k] = busy;
+    times.neighbor_times[k] = busy;
     for (const std::int32_t col : columns) {
       rank.map.set_owner(col, neighbors[k]);
     }
@@ -562,9 +524,6 @@ void ParallelMd::phase_b_decide_and_migrate(sim::Comm& comm, int me) {
     for (const auto& p : rank.owned) {
       column_load[column_of_position(p.position)] += 1.0;
     }
-    core::NeighborTimes times;
-    times.self_time = rank.last_busy;
-    times.neighbor_times = rank.neighbor_times;
     const core::DlbDecision decision = balancer_->decide(
         me, rank.map, times, [&](int col) { return column_load[col]; });
     if (decision.target >= 0 &&
@@ -710,78 +669,49 @@ void ParallelMd::phase_e_forces(sim::Comm& comm, int me) {
   absorb_halo(comm, rank, me, kTagHalo);
   span_end(comm, spans_.halo);
   span_begin(comm, spans_.force);
-  rank.bins.rebuild(grid_, rank.with_halo);
-
-  auto& targets = rank.target_cells;
-  targets.clear();
-  const auto cols = owned_columns(rank, me);
-  targets.reserve(cols.size() * grid_.nz());
-  for (const int col : cols) {
-    const auto [cx, cy] = layout_.column_coord(col);
-    for (int z = 0; z < grid_.nz(); ++z) {
-      targets.push_back(grid_.flat_index({cx, cy, z}));
-    }
-  }
-  std::sort(targets.begin(), targets.end());
-
-  const auto result = md::accumulate_forces(
-      rank.with_halo, grid_, rank.bins, targets, lj_, rank.workspace);
-  rank.force_seconds = advance_compute(
-      comm,
-      engine_->model().pair_cost * result.pair_evaluations +
-          engine_->model().cell_cost * targets.size(),
-      rank.busy_accum);
-
-  rank.owned.assign(rank.with_halo.begin(),
-                    rank.with_halo.begin() + rank.owned.size());
+  target_owned_cells(rank, me);
+  const auto [result, seconds] =
+      rank.compute_forces(comm, engine_->model(), grid_, lj_);
+  rank.force_seconds = seconds;
   integrator_.kick(rank.owned);
   span_end(comm, spans_.force);
 
-  rank.local_pe = result.potential_energy;
-  rank.local_virial = result.virial;
-  rank.local_pairs = result.pair_evaluations;
   int empty = 0;
-  for (const int cell : targets) {
+  for (const int cell : rank.target_cells) {
     if (rank.bins.cell(cell).empty()) ++empty;
   }
   const double ke = md::kinetic_energy(rank.owned);
-  const double owned_cells = static_cast<double>(targets.size());
+  const double owned_cells = static_cast<double>(rank.target_cells.size());
 
   // Collectives fill the logical slot `me`, so the combine order — and the
   // reduced values, bit for bit — are independent of which physical rank
   // hosts each role (see Comm::collective_begin).
-  const double sums[8] = {rank.local_pe,
+  const double sums[8] = {result.potential_energy,
                           ke,
-                          static_cast<double>(rank.local_pairs),
+                          static_cast<double>(result.pair_evaluations),
                           static_cast<double>(rank.owned.size()),
                           static_cast<double>(empty),
                           static_cast<double>(rank.transfers_made),
                           rank.force_seconds,
-                          rank.local_virial};
+                          result.virial};
   comm.collective_begin(sim::ReduceOp::kSum, sums, me);
-  if (healing_enabled()) {
-    // Fourth slot: the velocity alarm. A role with a particle faster than
-    // kVelocityAlarm flags itself as role + 1 (0 = no alarm); the max
-    // identifies one suspect for the watchdog.
-    double alarm = 0.0;
-    for (const auto& p : rank.owned) {
-      if (std::abs(p.velocity.x) > kVelocityAlarm ||
-          std::abs(p.velocity.y) > kVelocityAlarm ||
-          std::abs(p.velocity.z) > kVelocityAlarm) {
-        alarm = static_cast<double>(me + 1);
-        break;
-      }
-    }
-    const double maxes[4] = {rank.force_seconds,
-                             owned_cells * kComposite + empty,
-                             empty * kComposite + owned_cells, alarm};
-    comm.collective_begin(sim::ReduceOp::kMax, maxes, me);
-  } else {
-    const double maxes[3] = {rank.force_seconds,
-                             owned_cells * kComposite + empty,
-                             empty * kComposite + owned_cells};
-    comm.collective_begin(sim::ReduceOp::kMax, maxes, me);
-  }
+  // Fourth max slot, healing runs only: the velocity alarm. A role with a
+  // particle faster than kVelocityAlarm flags itself as role + 1 (0 = no
+  // alarm); the max identifies one suspect for the watchdog.
+  const bool alarm =
+      healing_enabled() &&
+      std::any_of(rank.owned.begin(), rank.owned.end(),
+                  [](const md::Particle& p) {
+                    return std::abs(p.velocity.x) > kVelocityAlarm ||
+                           std::abs(p.velocity.y) > kVelocityAlarm ||
+                           std::abs(p.velocity.z) > kVelocityAlarm;
+                  });
+  const double maxes[4] = {rank.force_seconds,
+                           owned_cells * kComposite + empty,
+                           empty * kComposite + owned_cells,
+                           alarm ? static_cast<double>(me + 1) : 0.0};
+  comm.collective_begin(sim::ReduceOp::kMax,
+                        std::span(maxes, healing_enabled() ? 4 : 3), me);
   const double mins[1] = {rank.force_seconds};
   comm.collective_begin(sim::ReduceOp::kMin, mins, me);
 
@@ -790,9 +720,7 @@ void ParallelMd::phase_e_forces(sim::Comm& comm, int me) {
 
 void ParallelMd::phase_f_finish(sim::Comm& comm, int me) {
   Rank& rank = *ranks_[me];
-  rank.sums = comm.collective_end();
-  rank.maxes = comm.collective_end();
-  rank.mins = comm.collective_end();
+  rank.finish_reductions(comm);
 
   const std::int64_t step_number = step_count_ + 1;
   if (thermostat_ && thermostat_->due(step_number)) {
@@ -1055,8 +983,7 @@ void ParallelMd::buddy_round() {
     envelope.last_busy = rank.last_busy;
     envelope.force_seconds = rank.force_seconds;
     sim::Buffer sealed = pack_rank_envelope(envelope);
-    rank.self_snap[1] = std::move(rank.self_snap[0]);
-    rank.self_snap[0] = Snapshot{gen, sealed};
+    rank.self_snap.push(gen, sealed);
     send_to(comm, rank, buddy_of(me), kTagBuddy, std::move(sealed));
     span_end(comm, spans_.buddy);
   });
@@ -1067,16 +994,16 @@ void ParallelMd::buddy_round() {
     Rank& rank = *ranks_[static_cast<std::size_t>(me)];
     span_begin(comm, spans_.buddy);
     if (auto payload = recv_from(comm, rank, ward_of(me), kTagBuddy)) {
-      rank.ward_snap[1] = std::move(rank.ward_snap[0]);
-      rank.ward_snap[0] = Snapshot{gen, std::move(*payload)};
+      rank.ward_snap.push(gen, std::move(*payload));
     }
     span_end(comm, spans_.buddy);
   });
   // Driver-side accounting (counters are never touched by phase bodies).
   for (int l = 0; l < layout_.pe_count(); ++l) {
+    if (!role_live(l)) continue;
     const Rank& rank = *ranks_[static_cast<std::size_t>(l)];
-    if (role_live(l) && rank.self_snap[0].generation == gen) {
-      recovery_.checkpoint_bytes += rank.self_snap[0].sealed.size();
+    if (const auto* sealed = rank.self_snap.find(gen)) {
+      recovery_.checkpoint_bytes += sealed->size();
     }
   }
   ++recovery_.generations;
@@ -1149,18 +1076,13 @@ std::int64_t ParallelMd::choose_generation(
   const auto needs_buddy = [&](int l) {
     return std::find(promoted.begin(), promoted.end(), l) != promoted.end();
   };
-  const auto has_gen = [](const std::array<Snapshot, 2>& snaps,
-                          std::int64_t gen) {
-    return snaps[0].generation == gen || snaps[1].generation == gen;
-  };
   std::vector<std::int64_t> candidates;
   for (int l = 0; l < layout_.pe_count(); ++l) {
     const Rank& rank = *ranks_[static_cast<std::size_t>(l)];
-    for (const auto& snap : rank.self_snap) {
-      if (snap.generation >= 0) candidates.push_back(snap.generation);
-    }
-    for (const auto& snap : rank.ward_snap) {
-      if (snap.generation >= 0) candidates.push_back(snap.generation);
+    for (const auto& window : {&rank.self_snap, &rank.ward_snap}) {
+      for (const std::int64_t gen : window->generations()) {
+        if (gen >= 0) candidates.push_back(gen);
+      }
     }
   }
   std::sort(candidates.begin(), candidates.end(), std::greater<>());
@@ -1174,9 +1096,11 @@ std::int64_t ParallelMd::choose_generation(
         // the ward envelope of this generation.
         const int buddy = buddy_of(l);
         ok = role_live(buddy) &&
-             has_gen(ranks_[static_cast<std::size_t>(buddy)]->ward_snap, gen);
+             ranks_[static_cast<std::size_t>(buddy)]->ward_snap.find(gen) !=
+                 nullptr;
       } else if (role_live(l)) {
-        ok = has_gen(ranks_[static_cast<std::size_t>(l)]->self_snap, gen);
+        ok = ranks_[static_cast<std::size_t>(l)]->self_snap.find(gen) !=
+             nullptr;
       }
       // Roles retired in an earlier recovery need no state at all.
     }
@@ -1217,11 +1141,8 @@ void ParallelMd::perform_rollback(std::int64_t gen,
       return;
     }
     span_begin(comm, spans_.failover);
-    for (const auto& snap : rank.ward_snap) {
-      if (snap.generation == gen) {
-        send_to(comm, rank, ward, kTagRestore, snap.sealed);
-        break;
-      }
+    if (const auto* sealed = rank.ward_snap.find(gen)) {
+      send_to(comm, rank, ward, kTagRestore, *sealed);
     }
     span_end(comm, spans_.failover);
   });
@@ -1242,20 +1163,14 @@ void ParallelMd::perform_rollback(std::int64_t gen,
                             std::to_string(me) + " fell silent mid-failover");
       }
       sealed = std::move(*payload);
-      rank.self_snap[0] = Snapshot{gen, sealed};
-      rank.self_snap[1] = Snapshot{};
+      // recover_from_deaths emptied the promoted role's window.
+      rank.self_snap.push(gen, sealed);
+    } else if (const auto* own = rank.self_snap.find(gen)) {
+      sealed = *own;
     } else {
-      for (const auto& snap : rank.self_snap) {
-        if (snap.generation == gen) {
-          sealed = snap.sealed;
-          break;
-        }
-      }
-      if (sealed.empty()) {
-        throw RecoveryError("self-healing: role " + std::to_string(me) +
-                            " lost its own envelope of generation " +
-                            std::to_string(gen));
-      }
+      throw RecoveryError("self-healing: role " + std::to_string(me) +
+                          " lost its own envelope of generation " +
+                          std::to_string(gen));
     }
     const RankEnvelope envelope =
         unpack_rank_envelope(std::move(sealed), layout_.num_columns());
@@ -1269,11 +1184,8 @@ void ParallelMd::perform_rollback(std::int64_t gen,
       rank.map.set_owner(col,
                          envelope.owners[static_cast<std::size_t>(col)]);
     }
-    rank.restored_last_busy = envelope.last_busy;
+    rank.last_busy = envelope.last_busy;
     rank.force_seconds = envelope.force_seconds;
-    rank.busy_accum = 0.0;
-    rank.transfers_made = 0;
-    rank.with_halo.clear();
     span_end(comm, spans_.rollback);
   });
 
@@ -1299,20 +1211,14 @@ void ParallelMd::perform_rollback(std::int64_t gen,
     throw RecoveryError("self-healing: no live role left to roll back");
   }
   for (const int l : retired) {
-    const Rank& buddy = *ranks_[static_cast<std::size_t>(buddy_of(l))];
-    sim::Buffer sealed;
-    for (const auto& snap : buddy.ward_snap) {
-      if (snap.generation == gen) {
-        sealed = snap.sealed;
-        break;
-      }
-    }
-    if (sealed.empty()) {
+    const auto* sealed =
+        ranks_[static_cast<std::size_t>(buddy_of(l))]->ward_snap.find(gen);
+    if (sealed == nullptr) {
       throw RecoveryError("self-healing: envelope of retired role " +
                           std::to_string(l) + " is gone");
     }
     const RankEnvelope envelope =
-        unpack_rank_envelope(std::move(sealed), layout_.num_columns());
+        unpack_rank_envelope(*sealed, layout_.num_columns());
     std::vector<int> successor_of(
         static_cast<std::size_t>(layout_.num_columns()), -1);
     for (int col = 0; col < layout_.num_columns(); ++col) {
@@ -1338,16 +1244,9 @@ void ParallelMd::perform_rollback(std::int64_t gen,
   }
 
   // Rewind the step counter and recompute forces from the restored
-  // positions; the envelope busy times (not the init charge) then drive the
-  // next DLB decision, exactly like the checkpoint constructor's resume.
+  // positions, keeping the envelope busy times like a checkpoint resume.
   step_count_ = gen;
-  run_init_phases();
-  for (int l = 0; l < layout_.pe_count(); ++l) {
-    if (role_live(l)) {
-      Rank& rank = *ranks_[static_cast<std::size_t>(l)];
-      rank.last_busy = rank.restored_last_busy;
-    }
-  }
+  run_init_phases(/*fresh=*/false);
   driver_span(spans_.rollback, begin, engine_->makespan());
 }
 

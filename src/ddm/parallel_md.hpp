@@ -32,6 +32,7 @@
 #include "ddm/balancer.hpp"
 #include "ddm/engine_config.hpp"
 #include "ddm/fault_tolerance.hpp"
+#include "ddm/rank_md.hpp"
 #include "ddm/recovery.hpp"
 #include "ddm/wire.hpp"
 #include "md/cell_grid.hpp"
@@ -44,7 +45,6 @@
 #include "sim/membership.hpp"
 #include "sim/reliable.hpp"
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -139,12 +139,6 @@ class ParallelMd {
   // checkpoint). Either way the engine must provide pe_side^2 ranks, plus
   // fault_tolerance.healing.spares extra ranks when healing is enabled.
   ParallelMd(const EngineConfig& setup, const ParallelMdConfig& config);
-  // Positional shims forwarding to the EngineConfig constructor, kept so
-  // existing call sites compile unchanged.
-  ParallelMd(sim::Engine& engine, const Box& box,
-             const md::ParticleVector& initial, const ParallelMdConfig& config);
-  ParallelMd(sim::Engine& engine, const sim::Buffer& checkpoint,
-             const ParallelMdConfig& config);
   // Detaches the protocol checker from the engine when one was installed.
   ~ParallelMd();
 
@@ -183,44 +177,19 @@ class ParallelMd {
   const RecoveryCounters& recovery_counters() const { return recovery_; }
 
  private:
-  // One sealed buddy envelope (pack_rank_envelope) at one generation.
-  struct Snapshot {
-    std::int64_t generation = -1;
-    sim::Buffer sealed;
-  };
-
-  struct Rank {
-    md::ParticleVector owned;
+  struct Rank : RankMd {
     core::ColumnMap map;
-    std::vector<double> neighbor_times;  // digest times, neighbors8 order
-    double last_busy = 0.0;   // previous step's compute seconds
-    double busy_accum = 0.0;  // this step's compute seconds so far
-    double force_seconds = 0.0;
     int transfers_made = 0;
     // Fault tolerance (used when config.fault_tolerance enables them):
     sim::ReliableChannel channel;
     std::vector<char> peer_alive;  // this rank's view; all 1 initially
-    // Scratch reused across phases of one step:
-    md::ParticleVector with_halo;
-    md::CellBins bins;
-    md::ForceWorkspace workspace;
-    std::vector<int> target_cells;                          // phase E
-    std::vector<std::vector<int>> halo_columns_for;         // send_halo
-    std::vector<std::vector<std::int32_t>> halo_by_column;  // send_halo
-    std::vector<HaloRecord> halo_records;                   // send_halo
-    double local_pe = 0.0;
-    double local_virial = 0.0;
-    std::uint64_t local_pairs = 0;
-    // Reduced results stored in phase F:
-    std::vector<double> sums, maxes, mins;
-    // Self-healing: the two newest generations of this role's own envelope
-    // and of its ward's (the role whose buddy this role is), newest first.
-    std::array<Snapshot, 2> self_snap;
-    std::array<Snapshot, 2> ward_snap;
-    // Envelope busy time staged during a rollback; re-applied after the
-    // init phases recompute forces (same resume rule as the checkpoint
-    // constructor).
-    double restored_last_busy = 0.0;
+    // send_halo scratch, reused across steps:
+    std::vector<std::vector<int>> halo_columns_for;
+    std::vector<std::vector<std::int32_t>> halo_by_column;
+    // Self-healing: this role's own envelopes and its ward's (the role
+    // whose buddy this role is).
+    EnvelopeWindow self_snap;
+    EnvelopeWindow ward_snap;
 
     explicit Rank(const core::PillarLayout& layout) : map(layout) {}
   };
@@ -235,7 +204,8 @@ class ParallelMd {
 
   // Helpers.
   int column_of_position(const Vec3& position) const;
-  std::vector<int> owned_columns(const Rank& rank, int rank_id) const;
+  // Fills rank.target_cells with the cells of role `me`'s own columns.
+  void target_owned_cells(Rank& rank, int me) const;
   void send_halo(sim::Comm& comm, Rank& rank, int me, int tag);
   void absorb_halo(sim::Comm& comm, Rank& rank, int me, int tag);
 
@@ -274,8 +244,11 @@ class ParallelMd {
   // envelopes, rerun the init phases, reset step_count_.
   void perform_rollback(std::int64_t gen, const std::vector<int>& promoted,
                         const std::vector<int>& retired);
-  // The initial halo + force phases (construction and post-rollback).
-  void run_init_phases();
+  // The initial halo + force phases (construction and post-rollback). A
+  // restored role keeps the busy time it was restored with, because that,
+  // not the init cost, drives the next DLB decision; only a fresh start
+  // takes the init charge as its busy time.
+  void run_init_phases(bool fresh);
 
   // Fault-tolerant transport: all wire traffic funnels through these, and
   // they are the ONLY place roles translate to physical ranks. With
@@ -293,9 +266,8 @@ class ParallelMd {
   void init_fresh(const Box& box, const md::ParticleVector& initial);
   void init_resume(const sim::Buffer& checkpoint);
   // Shared post-construction work: checker/trace attachment and the initial
-  // halo + force phases. `resume` preserves checkpointed busy times.
-  void finish_construction(bool resume,
-                           const std::vector<double>& resume_last_busy);
+  // halo + force phases.
+  void finish_construction(bool fresh);
 
   // Span instrumentation (no-ops when config_.trace is null). Ids are
   // interned once in the constructor so the per-event path takes no lock.

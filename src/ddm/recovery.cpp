@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <utility>
 
 namespace pcmd::ddm {
 
@@ -47,6 +48,22 @@ RankEnvelope unpack_rank_envelope(sim::Buffer sealed, int expect_columns) {
     // malformed envelope. Normalise so callers catch one type.
     throw md::CheckpointError(std::string("buddy envelope: ") + error.what());
   }
+}
+
+void EnvelopeWindow::push(std::int64_t generation, sim::Buffer sealed) {
+  entries_[1] = std::move(entries_[0]);
+  entries_[0] = Entry{generation, std::move(sealed)};
+}
+
+const sim::Buffer* EnvelopeWindow::find(std::int64_t generation) const {
+  for (const auto& entry : entries_) {
+    if (entry.generation == generation) return &entry.sealed;
+  }
+  return nullptr;
+}
+
+std::array<std::int64_t, 2> EnvelopeWindow::generations() const {
+  return {entries_[0].generation, entries_[1].generation};
 }
 
 namespace {

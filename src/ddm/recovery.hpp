@@ -33,6 +33,7 @@
 #include "md/particle.hpp"
 #include "sim/message.hpp"
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <stdexcept>
@@ -83,6 +84,27 @@ struct RankEnvelope {
 // and no caller state is touched.
 sim::Buffer pack_rank_envelope(const RankEnvelope& envelope);
 RankEnvelope unpack_rank_envelope(sim::Buffer sealed, int expect_columns);
+
+// The two newest sealed envelopes (pack_rank_envelope) one role holds of
+// itself or of its ward. A generation shipped again after a rollback may
+// appear twice; find returns the newer copy.
+class EnvelopeWindow {
+ public:
+  // Makes `sealed` the newest entry and drops the oldest.
+  void push(std::int64_t generation, sim::Buffer sealed);
+  // The sealed envelope of `generation`, or nullptr when the window does
+  // not hold it.
+  const sim::Buffer* find(std::int64_t generation) const;
+  // Generations held, newest first; -1 marks an empty slot.
+  std::array<std::int64_t, 2> generations() const;
+
+ private:
+  struct Entry {
+    std::int64_t generation = -1;
+    sim::Buffer sealed;
+  };
+  std::array<Entry, 2> entries_;
+};
 
 // Thrown when recovery itself fails: no common generation survives, the
 // retry budget is exhausted, or adjacent buddies died together.

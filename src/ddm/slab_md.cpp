@@ -1,6 +1,5 @@
 #include "ddm/slab_md.hpp"
 
-#include "ddm/engine_config.hpp"
 #include "ddm/wire.hpp"
 #include "md/observables.hpp"
 
@@ -129,7 +128,9 @@ SlabMd::SlabMd(sim::Engine& engine, const Box& box,
   engine_->run_phase([this](sim::Comm& comm) {
     Rank& rank = *ranks_[comm.rank()];
     receive_halo(comm, rank, kSlabInitHalo);
-    rank.last_busy = compute_forces(comm, rank).second;
+    cells_of_layers(rank.lo, rank.hi, rank.target_cells);
+    rank.last_busy =
+        rank.compute_forces(comm, engine_->model(), grid_, lj_).second;
   });
 }
 
@@ -181,45 +182,20 @@ void SlabMd::send_halo(sim::Comm& comm, Rank& rank, int tag) {
 }
 
 void SlabMd::receive_halo(sim::Comm& comm, Rank& rank, int tag) {
-  rank.with_halo = rank.owned;
+  rank.begin_halo();
   for (const int nb : {left(comm.rank()), right(comm.rank())}) {
     const auto halo = unpack_halo(comm.recv(nb, tag));
     // After the recv: the message is the edge that orders this read behind
     // the neighbour's send_halo write.
     PCMD_HB_ACCESS(comm, "slab-halo", nb, /*is_write=*/false, "halo");
-    for (const auto& record : halo) {
-      md::Particle p;
-      p.id = record.id;
-      p.position = record.position;
-      rank.with_halo.push_back(p);
-    }
+    rank.add_halo(halo);
   }
-}
-
-std::pair<md::ForceResult, double> SlabMd::compute_forces(sim::Comm& comm,
-                                                          Rank& rank) {
-  rank.bins.rebuild(grid_, rank.with_halo);
-  auto& targets = rank.target_cells;
-  cells_of_layers(rank.lo, rank.hi, targets);
-  const auto result = md::accumulate_forces(
-      rank.with_halo, grid_, rank.bins, targets, lj_, rank.workspace);
-  const double seconds = advance_compute(
-      comm,
-      engine_->model().pair_cost * result.pair_evaluations +
-          engine_->model().cell_cost * targets.size(),
-      rank.busy_accum);
-  rank.owned.assign(rank.with_halo.begin(),
-                    rank.with_halo.begin() + rank.owned.size());
-  return {result, seconds};
 }
 
 void SlabMd::phase_a_drift_and_times(sim::Comm& comm) {
   Rank& rank = *ranks_[comm.rank()];
-  rank.busy_accum = 0.0;
   rank.shifts_made = 0;
-  advance_compute(comm, engine_->model().particle_cost * rank.owned.size(),
-                  rank.busy_accum);
-  integrator_.drift(rank.owned, box_);
+  rank.drift(comm, engine_->model(), integrator_, box_);
 
   SlabInfo info;
   info.busy = rank.last_busy;
@@ -368,7 +344,9 @@ void SlabMd::phase_c_absorb_and_halo(sim::Comm& comm) {
 void SlabMd::phase_d_forces(sim::Comm& comm) {
   Rank& rank = *ranks_[comm.rank()];
   receive_halo(comm, rank, kSlabHalo);
-  const auto [result, seconds] = compute_forces(comm, rank);
+  cells_of_layers(rank.lo, rank.hi, rank.target_cells);
+  const auto [result, seconds] =
+      rank.compute_forces(comm, engine_->model(), grid_, lj_);
   rank.force_seconds = seconds;
   integrator_.kick(rank.owned);
 
@@ -387,9 +365,7 @@ void SlabMd::phase_d_forces(sim::Comm& comm) {
 
 void SlabMd::phase_e_finish(sim::Comm& comm) {
   Rank& rank = *ranks_[comm.rank()];
-  rank.sums = comm.collective_end();
-  rank.maxes = comm.collective_end();
-  rank.mins = comm.collective_end();
+  rank.finish_reductions(comm);
   const std::int64_t step_number = step_count_ + 1;
   if (thermostat_ && thermostat_->due(step_number)) {
     const double factor = thermostat_->scale_factor(

@@ -17,7 +17,7 @@
 // bench/ablation_baseline_1d.
 #pragma once
 
-#include "ddm/wire.hpp"
+#include "ddm/rank_md.hpp"
 #include "md/cell_grid.hpp"
 #include "md/integrator.hpp"
 #include "md/lj.hpp"
@@ -81,22 +81,12 @@ class SlabMd {
   bool check_partition(std::string* error = nullptr) const;
 
  private:
-  struct Rank {
-    md::ParticleVector owned;
+  struct Rank : RankMd {
     // The rank's view of the boundary positions it participates in:
     // lo = first owned layer, hi = one past the last.
     int lo = 0;
     int hi = 0;
-    double last_busy = 0.0;
-    double busy_accum = 0.0;
-    double force_seconds = 0.0;
     int shifts_made = 0;
-    md::ParticleVector with_halo;
-    md::CellBins bins;
-    md::ForceWorkspace workspace;
-    std::vector<int> target_cells;         // force-phase scratch
-    std::vector<HaloRecord> halo_records;  // halo-pack scratch
-    std::vector<double> sums, maxes, mins;
   };
 
   int left(int rank) const;   // ring neighbour at lower x
@@ -111,11 +101,6 @@ class SlabMd {
   // rank.with_halo from the owned particles and the neighbours' records.
   void send_halo(sim::Comm& comm, Rank& rank, int tag);
   void receive_halo(sim::Comm& comm, Rank& rank, int tag);
-  // Forces on the owned layers from rank.with_halo, copied back into
-  // rank.owned; charges the pair and cell cost to the rank's clock and
-  // returns the result with the seconds that actually passed.
-  std::pair<md::ForceResult, double> compute_forces(sim::Comm& comm,
-                                                    Rank& rank);
 
   void phase_a_drift_and_times(sim::Comm& comm);
   void phase_b_shift_and_migrate(sim::Comm& comm);

@@ -7,6 +7,26 @@
 
 namespace pcmd::run {
 
+obs::MetricsRecorder::StepInput step_input(
+    const ddm::ParallelStepStats& stats) {
+  return {.step = stats.step,
+          .t_step = stats.t_step,
+          .force_max = stats.force_max,
+          .force_avg = stats.force_avg,
+          .force_min = stats.force_min,
+          .transfers = stats.transfers,
+          .potential_energy = stats.potential_energy,
+          .kinetic_energy = stats.kinetic_energy,
+          .temperature = stats.temperature,
+          .retransmissions = stats.retransmissions,
+          .checkpoint_bytes = stats.checkpoint_bytes,
+          .rollbacks = stats.rollbacks,
+          .failovers = stats.failovers,
+          .particles_recovered = stats.particles_recovered,
+          .imbalance = stats.imbalance,
+          .cells_moved = stats.cells_moved};
+}
+
 MdTrajectoryResult run_md_trajectory(const RunSpec& spec,
                                      obs::TraceCollector* trace) {
   spec.system.validate();
@@ -28,7 +48,10 @@ MdTrajectoryResult run_md_trajectory(const RunSpec& spec,
     injector.emplace(plan);
     engine.set_fault_injector(&*injector);
   }
-  ddm::ParallelMd pmd(engine, spec.system.box(), initial, config);
+  ddm::ParallelMd pmd(ddm::EngineConfig{.engine = &engine,
+                                        .box = spec.system.box(),
+                                        .initial = &initial},
+                      config);
   // Baseline the counter deltas after the constructor's initial force
   // phase, so row 0 covers exactly step 1.
   obs::MetricsRecorder recorder(engine);
@@ -48,24 +71,7 @@ MdTrajectoryResult run_md_trajectory(const RunSpec& spec,
     result.transfers_total += stats.transfers;
     result.final_particles = stats.total_particles;
 
-    obs::MetricsRecorder::StepInput input;
-    input.step = stats.step;
-    input.t_step = stats.t_step;
-    input.force_max = stats.force_max;
-    input.force_avg = stats.force_avg;
-    input.force_min = stats.force_min;
-    input.transfers = stats.transfers;
-    input.potential_energy = stats.potential_energy;
-    input.kinetic_energy = stats.kinetic_energy;
-    input.temperature = stats.temperature;
-    input.retransmissions = stats.retransmissions;
-    input.checkpoint_bytes = stats.checkpoint_bytes;
-    input.rollbacks = stats.rollbacks;
-    input.failovers = stats.failovers;
-    input.particles_recovered = stats.particles_recovered;
-    input.imbalance = stats.imbalance;
-    input.cells_moved = stats.cells_moved;
-    recorder.record(input);
+    recorder.record(step_input(stats));
     result.retransmissions_total += stats.retransmissions;
     result.recv_timeouts_total += stats.recv_timeouts;
     result.failovers_total += stats.failovers;

@@ -4,6 +4,7 @@
 // and the metrics rows the trace sinks write.
 #pragma once
 
+#include "ddm/parallel_md.hpp"
 #include "obs/metrics.hpp"
 #include "run/run_spec.hpp"
 #include "sim/message.hpp"
@@ -38,6 +39,9 @@ struct MdTrajectoryResult {
   int checkpoints_taken = 0;
   sim::Buffer last_checkpoint;  // empty unless spec.checkpoint_every > 0
 };
+
+// The metrics row inputs of one ParallelMd step, for obs::MetricsRecorder.
+obs::MetricsRecorder::StepInput step_input(const ddm::ParallelStepStats& stats);
 
 // Runs the spec's paper system for spec.steps steps on a SeqEngine, under
 // spec.fault_plan(), checkpointing every spec.checkpoint_every (> 0) steps.

@@ -109,7 +109,9 @@ AttemptResult run_attempt(const JobSpec& job, const AttemptContext& context) {
     std::unique_ptr<ddm::ParallelMd> pmd;
     if (context.resume) {
       pmd = std::make_unique<ddm::ParallelMd>(
-          *engine, context.resume->checkpoint, config);
+          ddm::EngineConfig{.engine = engine.get(),
+                            .checkpoint = &context.resume->checkpoint},
+          config);
       // The restore scatter above advanced the fresh engine's clocks; put
       // back the exact skew the job was suspended with so every subsequent
       // t_step matches an uninterrupted run bitwise.
@@ -118,7 +120,9 @@ AttemptResult run_attempt(const JobSpec& job, const AttemptContext& context) {
       Rng rng(job.run.system.seed);
       const auto initial = workload::make_paper_system(job.run.system, rng);
       pmd = std::make_unique<ddm::ParallelMd>(
-          *engine, job.run.system.box(), initial, config);
+          ddm::EngineConfig{.engine = engine.get(), .box = job.run.system.box(),
+                            .initial = &initial},
+          config);
     }
 
     AttemptResult result = partial;

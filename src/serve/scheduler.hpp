@@ -189,6 +189,13 @@ class Scheduler {
   // pending state, so the next start resumes them. Idempotent; implied by
   // the destructor (kDrain).
   void stop(StopMode mode);
+  // True once stop() has set its flags (after kDrain's drain). With
+  // kCheckpoint, every preemptible job then running has its eviction flag
+  // raised by that time.
+  bool stopping() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return stopping_;
+  }
 
   SchedulerStats stats() const;
 

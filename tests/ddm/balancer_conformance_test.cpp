@@ -65,7 +65,10 @@ RunResult run_policy(sim::Engine& engine, BalancerKind kind, int steps,
   }
   ParallelMdConfig config = conformance_config(kind);
   config.fault_tolerance.reliable = !plan.empty();
-  ParallelMd md(engine, conformance_box(), conformance_particles(), config);
+  const auto initial = conformance_particles();
+  ParallelMd md(EngineConfig{.engine = &engine, .box = conformance_box(),
+                             .initial = &initial},
+                config);
   RunResult result;
   for (int i = 0; i < steps; ++i) {
     result.stats.push_back(md.step());
@@ -184,7 +187,9 @@ TEST_P(BalancerConformance, CheckpointRestartResumesBitwiseMidRebalance) {
   int transfers_before = 0;
   {
     sim::SeqEngine engine(9);
-    ParallelMd md(engine, conformance_box(), conformance_particles(),
+    const auto initial = conformance_particles();
+    ParallelMd md(EngineConfig{.engine = &engine, .box = conformance_box(),
+                               .initial = &initial},
                   conformance_config(GetParam()));
     for (int i = 0; i < kKillAfter; ++i) {
       transfers_before += md.step().transfers;
@@ -198,7 +203,8 @@ TEST_P(BalancerConformance, CheckpointRestartResumesBitwiseMidRebalance) {
   }
 
   sim::SeqEngine resumed_engine(9);
-  ParallelMd resumed(resumed_engine, snapshot,
+  ParallelMd resumed(EngineConfig{.engine = &resumed_engine,
+                                  .checkpoint = &snapshot},
                      conformance_config(GetParam()));
   EXPECT_EQ(resumed.step_count(), kKillAfter);
   for (int i = kKillAfter; i < kTotalSteps; ++i) {

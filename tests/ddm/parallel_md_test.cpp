@@ -32,9 +32,11 @@ md::ParticleVector small_gas(int n = 300, std::uint64_t seed = 11) {
 
 TEST(ParallelMd, RejectsMismatchedEngineSize) {
   sim::SeqEngine engine(4);
-  EXPECT_THROW(
-      ParallelMd(engine, small_box(), small_gas(10), small_config()),
-      std::invalid_argument);
+  const auto initial = small_gas(10);
+  EXPECT_THROW(ParallelMd(EngineConfig{.engine = &engine, .box = small_box(),
+                                       .initial = &initial},
+                          small_config()),
+               std::invalid_argument);
 }
 
 TEST(ParallelMd, RejectsBoxSmallerThanCutoffCells) {
@@ -45,13 +47,18 @@ TEST(ParallelMd, RejectsBoxSmallerThanCutoffCells) {
   pcmd::Rng rng(1);
   workload::GasConfig gas;
   auto particles = workload::random_gas(10, box, gas, rng);
-  EXPECT_THROW(ParallelMd(engine, box, particles, config),
+  EXPECT_THROW(ParallelMd(EngineConfig{.engine = &engine, .box = box,
+                                       .initial = &particles},
+                          config),
                std::invalid_argument);
 }
 
 TEST(ParallelMd, ParticleCountConserved) {
   sim::SeqEngine engine(9, sim::MachineModel::t3e());
-  ParallelMd pmd(engine, small_box(), small_gas(), small_config());
+  const auto initial = small_gas();
+  ParallelMd pmd(EngineConfig{.engine = &engine, .box = small_box(),
+                              .initial = &initial},
+                 small_config());
   for (int i = 0; i < 30; ++i) {
     const auto stats = pmd.step();
     EXPECT_EQ(stats.total_particles, 300);
@@ -61,7 +68,10 @@ TEST(ParallelMd, ParticleCountConserved) {
 
 TEST(ParallelMd, ParticleIdsPreserved) {
   sim::SeqEngine engine(9);
-  ParallelMd pmd(engine, small_box(), small_gas(), small_config());
+  const auto initial = small_gas();
+  ParallelMd pmd(EngineConfig{.engine = &engine, .box = small_box(),
+                              .initial = &initial},
+                 small_config());
   pmd.run(20);
   const auto particles = pmd.gather_particles();
   for (std::size_t i = 0; i < particles.size(); ++i) {
@@ -81,7 +91,9 @@ TEST(ParallelMd, MatchesSerialBitwiseWithoutThermostat) {
   md::SerialMd serial(small_box(), initial, serial_config);
 
   sim::SeqEngine engine(9);
-  ParallelMd pmd(engine, small_box(), initial, small_config());
+  ParallelMd pmd(EngineConfig{.engine = &engine, .box = small_box(),
+                              .initial = &initial},
+                 small_config());
 
   serial.run(25);
   pmd.run(25);
@@ -108,7 +120,9 @@ TEST(ParallelMd, MatchesSerialBitwiseWithDlbEnabled) {
   md::SerialMd serial(small_box(), initial, serial_config);
 
   sim::SeqEngine engine(9);
-  ParallelMd pmd(engine, small_box(), initial, small_config(/*dlb=*/true));
+  ParallelMd pmd(EngineConfig{.engine = &engine, .box = small_box(),
+                              .initial = &initial},
+                 small_config(/*dlb=*/true));
 
   serial.run(25);
   pmd.run(25);
@@ -136,7 +150,9 @@ TEST(ParallelMd, MatchesSerialThroughThermostatToTolerance) {
   config.rescale_temperature = 0.722;
   config.rescale_interval = 50;
   sim::SeqEngine engine(9);
-  ParallelMd pmd(engine, small_box(), initial, config);
+  ParallelMd pmd(EngineConfig{.engine = &engine, .box = small_box(),
+                              .initial = &initial},
+                 config);
 
   serial.run(60);  // crosses the step-50 rescale
   pmd.run(60);
@@ -158,7 +174,9 @@ TEST(ParallelMd, EnergyAndStatsMatchSerial) {
   md::SerialMd serial(small_box(), initial, serial_config);
 
   sim::SeqEngine engine(9);
-  ParallelMd pmd(engine, small_box(), initial, small_config());
+  ParallelMd pmd(EngineConfig{.engine = &engine, .box = small_box(),
+                              .initial = &initial},
+                 small_config());
 
   for (int i = 0; i < 10; ++i) {
     const auto s = serial.step();
@@ -172,7 +190,9 @@ TEST(ParallelMd, EnergyAndStatsMatchSerial) {
 
 TEST(ParallelMd, OwnershipInvariantsHoldUnderDlb) {
   sim::SeqEngine engine(9);
-  ParallelMd pmd(engine, small_box(), small_gas(400, 7),
+  const auto initial = small_gas(400, 7);
+  ParallelMd pmd(EngineConfig{.engine = &engine, .box = small_box(),
+                              .initial = &initial},
                  small_config(/*dlb=*/true));
   for (int i = 0; i < 40; ++i) {
     pmd.step();
@@ -184,7 +204,10 @@ TEST(ParallelMd, OwnershipInvariantsHoldUnderDlb) {
 
 TEST(ParallelMd, StaticOwnershipWithoutDlb) {
   sim::SeqEngine engine(9);
-  ParallelMd pmd(engine, small_box(), small_gas(), small_config(false));
+  const auto initial = small_gas();
+  ParallelMd pmd(EngineConfig{.engine = &engine, .box = small_box(),
+                              .initial = &initial},
+                 small_config(false));
   pmd.run(10);
   for (int r = 0; r < 9; ++r) {
     const auto& map = pmd.column_map_view(r);
@@ -202,7 +225,9 @@ TEST(ParallelMd, DlbMovesColumnsTowardConcentratedLoad) {
       pcmd::testing::concentrated_lattice(600, small_box(), 0.8, 0.3);
 
   sim::SeqEngine engine(9);
-  ParallelMd pmd(engine, small_box(), initial, small_config(/*dlb=*/true));
+  ParallelMd pmd(EngineConfig{.engine = &engine, .box = small_box(),
+                              .initial = &initial},
+                 small_config(/*dlb=*/true));
   int transfers = 0;
   for (int i = 0; i < 30; ++i) transfers += pmd.step().transfers;
   EXPECT_GT(transfers, 0);
@@ -216,7 +241,9 @@ TEST(ParallelMd, DlbReducesForceImbalance) {
   auto imbalance_after = [&](bool dlb) {
     sim::SeqEngine engine(9);
     auto config = small_config(dlb);
-    ParallelMd pmd(engine, small_box(), initial, config);
+    ParallelMd pmd(EngineConfig{.engine = &engine, .box = small_box(),
+                                .initial = &initial},
+                   config);
     ParallelStepStats stats{};
     for (int i = 0; i < 30; ++i) stats = pmd.step();
     return (stats.force_max - stats.force_min) /
@@ -230,7 +257,10 @@ TEST(ParallelMd, DlbReducesForceImbalance) {
 
 TEST(ParallelMd, StepTimeTracksSlowestPe) {
   sim::SeqEngine engine(9);
-  ParallelMd pmd(engine, small_box(), small_gas(), small_config());
+  const auto initial = small_gas();
+  ParallelMd pmd(EngineConfig{.engine = &engine, .box = small_box(),
+                              .initial = &initial},
+                 small_config());
   const auto stats = pmd.step();
   // Tt >= Fmax: the step cannot finish before the slowest force computation.
   EXPECT_GE(stats.t_step, stats.force_max);
@@ -241,7 +271,10 @@ TEST(ParallelMd, StepTimeTracksSlowestPe) {
 
 TEST(ParallelMd, ConcentrationStatsRanges) {
   sim::SeqEngine engine(9);
-  ParallelMd pmd(engine, small_box(), small_gas(150, 17), small_config());
+  const auto initial = small_gas(150, 17);
+  ParallelMd pmd(EngineConfig{.engine = &engine, .box = small_box(),
+                              .initial = &initial},
+                 small_config());
   const auto stats = pmd.step();
   const int cells_per_pe = 2 * 2 * 6;  // m^2 columns x K cells
   EXPECT_EQ(stats.max_domain_cells, cells_per_pe);  // no DLB: all equal
@@ -256,8 +289,12 @@ TEST(ParallelMd, SeqAndThreadBackendsBitwiseIdentical) {
   auto initial = small_gas(250, 19);
   sim::SeqEngine seq(9);
   sim::ThreadEngine thread(9);
-  ParallelMd a(seq, small_box(), initial, small_config(true));
-  ParallelMd b(thread, small_box(), initial, small_config(true));
+  ParallelMd a(EngineConfig{.engine = &seq, .box = small_box(),
+                            .initial = &initial},
+               small_config(true));
+  ParallelMd b(EngineConfig{.engine = &thread, .box = small_box(),
+                            .initial = &initial},
+               small_config(true));
   ParallelStepStats sa{}, sb{};
   for (int i = 0; i < 15; ++i) {
     sa = a.step();
@@ -289,7 +326,9 @@ TEST(ParallelMd, LargerConfigurationRuns) {
   workload::GasConfig gas;
   auto particles = workload::random_gas(800, box, gas, rng);
   sim::SeqEngine engine(16);
-  ParallelMd pmd(engine, box, particles, config);
+  ParallelMd pmd(EngineConfig{.engine = &engine, .box = box,
+                              .initial = &particles},
+                 config);
   const auto stats = pmd.run(10);
   EXPECT_EQ(stats.total_particles, 800);
   EXPECT_TRUE(pmd.check_ownership().ok);

@@ -71,7 +71,9 @@ TEST_P(ParitySweep, ParallelMatchesSerialBitwise) {
   } else {
     engine = std::make_unique<sim::SeqEngine>(param.pe_side * param.pe_side);
   }
-  ParallelMd parallel(*engine, box, initial, config);
+  ParallelMd parallel(EngineConfig{.engine = engine.get(), .box = box,
+                                   .initial = &initial},
+                      config);
 
   const int steps = 12;
   serial.run(steps);

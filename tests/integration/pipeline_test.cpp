@@ -74,7 +74,9 @@ TEST(Pipeline, GatheredParticlesFeedClusterAnalysis) {
   config.pe_side = 3;
   config.m = 2;
   config.balancer.kind = ddm::BalancerKind::kPermanent;
-  ddm::ParallelMd md(engine, spec.box(), initial, config);
+  ddm::ParallelMd md(ddm::EngineConfig{.engine = &engine, .box = spec.box(),
+                                       .initial = &initial},
+                     config);
   md.run(30);
 
   const auto particles = md.gather_particles();
@@ -105,7 +107,9 @@ TEST(Pipeline, OversizedTimeStepFailsLoudly) {
   config.pe_side = 4;
   config.m = 2;
   config.dt = 0.005;
-  ddm::ParallelMd md(engine, spec.box(), initial, config);
+  ddm::ParallelMd md(ddm::EngineConfig{.engine = &engine, .box = spec.box(),
+                                       .initial = &initial},
+                     config);
   EXPECT_THROW(md.step(), std::logic_error);
 }
 
@@ -124,7 +128,9 @@ TEST(Pipeline, ThreadBackendRunsFullMdConfiguration) {
   config.m = 2;
   config.balancer.kind = ddm::BalancerKind::kPermanent;
   config.rescale_temperature = spec.temperature;
-  ddm::ParallelMd md(engine, spec.box(), initial, config);
+  ddm::ParallelMd md(ddm::EngineConfig{.engine = &engine, .box = spec.box(),
+                                       .initial = &initial},
+                     config);
   const auto stats = md.run(20);
   EXPECT_EQ(stats.total_particles,
             static_cast<std::int64_t>(initial.size()));
@@ -146,8 +152,12 @@ TEST(Pipeline, MachineModelChangesVirtualTimeNotPhysics) {
   ddm::ParallelMdConfig config;
   config.pe_side = 3;
   config.m = 2;
-  ddm::ParallelMd a(t3e, spec.box(), initial1, config);
-  ddm::ParallelMd b(ideal, spec.box(), initial2, config);
+  ddm::ParallelMd a(ddm::EngineConfig{.engine = &t3e, .box = spec.box(),
+                                      .initial = &initial1},
+                    config);
+  ddm::ParallelMd b(ddm::EngineConfig{.engine = &ideal, .box = spec.box(),
+                                      .initial = &initial2},
+                    config);
   const auto sa = a.run(15);
   const auto sb = b.run(15);
   // Identical physics...
@@ -174,7 +184,9 @@ TEST(Pipeline, DlbWinsOnConcentratedLoadEndToEnd) {
     // the strict protocol deterministically parks on an unhelpable PE_fast;
     // fallback mode exists for exactly this (see DlbConfig).
     config.dlb.fallback_to_helpable = true;
-    ddm::ParallelMd md(engine, box, initial, config);
+    ddm::ParallelMd md(ddm::EngineConfig{.engine = &engine, .box = box,
+                                         .initial = &initial},
+                       config);
     md.run(40);
     return engine.makespan();
   };

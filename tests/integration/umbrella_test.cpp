@@ -22,7 +22,9 @@ TEST(Umbrella, WholeStackSmoke) {
   config.pe_side = spec.pe_side();
   config.m = spec.m;
   config.balancer.kind = ddm::BalancerKind::kPermanent;
-  ddm::ParallelMd md(engine, spec.box(), initial, config);
+  ddm::ParallelMd md(ddm::EngineConfig{.engine = &engine, .box = spec.box(),
+                                       .initial = &initial},
+                     config);
   const auto stats = md.run(5);
 
   EXPECT_EQ(stats.total_particles,

@@ -305,12 +305,19 @@ md::ParticleVector resume_gas() {
 
 ParallelState parallel_state_after_one_step() {
   sim::SeqEngine engine(9);
-  ddm::ParallelMd pmd(engine, Box::cubic(15.0), resume_gas(), resume_config());
+  const auto initial = resume_gas();
+  ddm::ParallelMd pmd(ddm::EngineConfig{.engine = &engine,
+                                        .box = Box::cubic(15.0),
+                                        .initial = &initial},
+                      resume_config());
   pmd.step();
   const ParallelState state = open_parallel(pmd.checkpoint());
   // The re-sealed, unmodified state must resume: the helpers are faithful.
   sim::SeqEngine fresh(9);
-  ddm::ParallelMd resumed(fresh, seal_parallel(state), resume_config());
+  const auto checkpoint = seal_parallel(state);
+  ddm::ParallelMd resumed(ddm::EngineConfig{.engine = &fresh,
+                                            .checkpoint = &checkpoint},
+                          resume_config());
   resumed.step();
   return state;
 }
@@ -335,7 +342,10 @@ void expect_resume_rejected(const ParallelState& state,
   expect_rejected(
       [&] {
         sim::SeqEngine engine(9);
-        ddm::ParallelMd pmd(engine, seal_parallel(state), resume_config());
+        const auto checkpoint = seal_parallel(state);
+        ddm::ParallelMd pmd(ddm::EngineConfig{.engine = &engine,
+                                              .checkpoint = &checkpoint},
+                            resume_config());
       },
       names);
 }
@@ -403,7 +413,10 @@ TEST(CheckpointFuzz, ParallelResumeAcceptsParticlesOnTheUpperBoxFace) {
   }
   ASSERT_TRUE(moved);
   sim::SeqEngine engine(9);
-  ddm::ParallelMd pmd(engine, seal_parallel(state), resume_config());
+  const auto checkpoint = seal_parallel(state);
+  ddm::ParallelMd pmd(ddm::EngineConfig{.engine = &engine,
+                                        .checkpoint = &checkpoint},
+                      resume_config());
   for (int i = 0; i < 3; ++i) EXPECT_EQ(pmd.step().total_particles, 200);
 }
 

@@ -18,6 +18,7 @@
 // queue; a successor scheduler must finish it to the same store bytes an
 // uninterrupted run produces.
 #include "serve/scheduler.hpp"
+#include "support/temp_path.hpp"
 
 #include <gtest/gtest.h>
 
@@ -33,9 +34,7 @@
 namespace pcmd::serve {
 namespace {
 
-std::string temp_path(const std::string& name) {
-  return std::string(::testing::TempDir()) + name;
-}
+using pcmd::testing::temp_path;
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -290,6 +289,7 @@ TEST(CrashReplay, CheckpointStopHandsTheQueueToTheNextScheduler) {
     }
     EXPECT_EQ(scheduler.submit(wrapping).admission, Admission::kMalformed);
     std::thread stopper([&] { scheduler.stop(StopMode::kCheckpoint); });
+    while (!scheduler.stopping()) std::this_thread::yield();
     {
       const std::lock_guard<std::mutex> lock(gate_mutex);
       release = true;

@@ -17,6 +17,7 @@
 #include "serve/journal.hpp"
 
 #include "serve/error.hpp"
+#include "support/temp_path.hpp"
 
 #include <gtest/gtest.h>
 
@@ -28,9 +29,7 @@
 namespace pcmd::serve {
 namespace {
 
-std::string temp_path(const char* name) {
-  return std::string(::testing::TempDir()) + name;
-}
+using pcmd::testing::temp_path;
 
 void write_bytes(const std::string& path, const sim::Buffer& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);

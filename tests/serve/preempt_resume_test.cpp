@@ -181,6 +181,22 @@ TEST(Runner, ThreadEngineRecordsTheSeqEnginePhaseError) {
   }
 }
 
+TEST(Runner, DeadPeerFailsAsPeerDeadInEveryBuild) {
+  // Rank 4 dies before the first DLB step, which leaves its columns
+  // unclaimed. Checked builds must not report that as an ownership
+  // invariant violation: the next receive from the dead rank names it, as
+  // in release builds.
+  const auto result = run_attempt(
+      JobSpec::parse("--pe 9 --m 2 --density 0.2 --steps 10 "
+                     "--faults seed=1,crash=4@0.02"),
+      {});
+  ASSERT_EQ(result.status, AttemptStatus::kFailed);
+  EXPECT_EQ(result.failure, FailureKind::kPeerDead) << result.error;
+  EXPECT_EQ(result.error,
+            "Comm::recv: rank 4 is dead, so no message tag 1 reaches rank 0 "
+            "in phase 10");
+}
+
 TEST(PreemptResume, NonPreemptibleJobsIgnoreTheEvictionFlag) {
   const auto job = JobSpec::parse(
       "--pe 9 --m 2 --density 0.2 --steps 8 --seed 36 "

@@ -6,6 +6,7 @@
 #include "serve/store.hpp"
 
 #include "serve/error.hpp"
+#include "support/temp_path.hpp"
 
 #include <gtest/gtest.h>
 
@@ -18,9 +19,7 @@
 namespace pcmd::serve {
 namespace {
 
-std::string temp_path(const char* name) {
-  return std::string(::testing::TempDir()) + name;
-}
+using pcmd::testing::temp_path;
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

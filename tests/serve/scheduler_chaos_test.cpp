@@ -13,6 +13,7 @@
 // three attempts into quarantine. These are deterministic functions of the
 // fault-plan seed remix (attempt_fault_plan), not of scheduling.
 #include "serve/scheduler.hpp"
+#include "support/temp_path.hpp"
 
 #include <gtest/gtest.h>
 
@@ -26,9 +27,7 @@
 namespace pcmd::serve {
 namespace {
 
-std::string temp_path(const char* name) {
-  return std::string(::testing::TempDir()) + name;
-}
+using pcmd::testing::temp_path;
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

@@ -76,8 +76,11 @@ RunResult run_injected(sim::Engine& engine, const sim::FaultPlan& plan,
   ParallelMdConfig config = chaos_config(dlb);
   config.pe_side = system.pe_side;
   config.fault_tolerance.reliable = !plan.empty();
-  ParallelMd md(engine, chaos_box(system.pe_side),
-                chaos_gas(system.particles, 11, system.pe_side), config);
+  const auto initial = chaos_gas(system.particles, 11, system.pe_side);
+  ParallelMd md(EngineConfig{.engine = &engine,
+                             .box = chaos_box(system.pe_side),
+                             .initial = &initial},
+                config);
   RunResult result;
   for (int i = 0; i < steps; ++i) result.stats.push_back(md.step());
   result.particles = md.gather_particles();
@@ -241,7 +244,9 @@ TEST(Chaos, CheckpointKillRestartIsBitwiseIdentical) {
 
   // Uninterrupted reference, DLB on.
   sim::SeqEngine ref_engine(9);
-  ParallelMd reference(ref_engine, chaos_box(), chaos_gas(),
+  const auto initial = chaos_gas();
+  ParallelMd reference(EngineConfig{.engine = &ref_engine, .box = chaos_box(),
+                                    .initial = &initial},
                        chaos_config(/*dlb=*/true));
   std::vector<ParallelStepStats> ref_stats;
   for (int i = 0; i < kTotalSteps; ++i) ref_stats.push_back(reference.step());
@@ -251,13 +256,17 @@ TEST(Chaos, CheckpointKillRestartIsBitwiseIdentical) {
   sim::Buffer snapshot;
   {
     sim::SeqEngine engine(9);
-    ParallelMd md(engine, chaos_box(), chaos_gas(), chaos_config(true));
+    ParallelMd md(EngineConfig{.engine = &engine, .box = chaos_box(),
+                               .initial = &initial},
+                  chaos_config(true));
     for (int i = 0; i < kKillAfter; ++i) md.step();
     snapshot = md.checkpoint();
   }  // original machine gone
 
   sim::SeqEngine resumed_engine(9);
-  ParallelMd resumed(resumed_engine, snapshot, chaos_config(true));
+  ParallelMd resumed(EngineConfig{.engine = &resumed_engine,
+                                  .checkpoint = &snapshot},
+                     chaos_config(true));
   EXPECT_EQ(resumed.step_count(), kKillAfter);
   for (int i = kKillAfter; i < kTotalSteps; ++i) {
     const auto stats = resumed.step();
@@ -290,7 +299,10 @@ TEST(Chaos, CheckpointSurvivesFaultInjectionAcrossTheBoundary) {
     engine.set_fault_injector(&injector);
     ParallelMdConfig config = chaos_config(true);
     config.fault_tolerance.reliable = true;
-    ParallelMd md(engine, chaos_box(), chaos_gas(), config);
+    const auto initial = chaos_gas();
+    ParallelMd md(EngineConfig{.engine = &engine, .box = chaos_box(),
+                               .initial = &initial},
+                  config);
     for (int i = 0; i < kKillAfter; ++i) md.step();
     snapshot = md.checkpoint();
     engine.set_fault_injector(nullptr);
@@ -301,7 +313,8 @@ TEST(Chaos, CheckpointSurvivesFaultInjectionAcrossTheBoundary) {
   engine.set_fault_injector(&injector);
   ParallelMdConfig config = chaos_config(true);
   config.fault_tolerance.reliable = true;
-  ParallelMd resumed(engine, snapshot, config);
+  ParallelMd resumed(EngineConfig{.engine = &engine, .checkpoint = &snapshot},
+                     config);
   for (int i = kKillAfter; i < kTotalSteps; ++i) resumed.step();
   expect_particles_bitwise(reference.particles, resumed.gather_particles(),
                            "faulty restart");
@@ -310,7 +323,10 @@ TEST(Chaos, CheckpointSurvivesFaultInjectionAcrossTheBoundary) {
 
 TEST(Chaos, CheckpointRejectsCorruptionAndWrongEngine) {
   sim::SeqEngine engine(9);
-  ParallelMd md(engine, chaos_box(), chaos_gas(100), chaos_config());
+  const auto initial = chaos_gas(100);
+  ParallelMd md(EngineConfig{.engine = &engine, .box = chaos_box(),
+                             .initial = &initial},
+                chaos_config());
   md.step();
   const sim::Buffer good = md.checkpoint();
 
@@ -320,21 +336,27 @@ TEST(Chaos, CheckpointRejectsCorruptionAndWrongEngine) {
     sim::Buffer bad = good;
     bad[at] ^= 0x20;
     sim::SeqEngine fresh(9);
-    EXPECT_THROW(ParallelMd(fresh, bad, chaos_config()), std::runtime_error)
+    EXPECT_THROW(ParallelMd(EngineConfig{.engine = &fresh, .checkpoint = &bad},
+                            chaos_config()),
+                 std::runtime_error)
         << "byte " << at;
   }
   // Truncation fails loudly too.
   {
     sim::Buffer bad(good.begin(), good.begin() + 10);
     sim::SeqEngine fresh(9);
-    EXPECT_THROW(ParallelMd(fresh, bad, chaos_config()), std::runtime_error);
+    EXPECT_THROW(ParallelMd(EngineConfig{.engine = &fresh, .checkpoint = &bad},
+                            chaos_config()),
+                 std::runtime_error);
   }
   // A mismatched decomposition is rejected before any state is restored.
   {
     sim::SeqEngine fresh(9);
     ParallelMdConfig wrong = chaos_config();
     wrong.m = 4;
-    EXPECT_THROW(ParallelMd(fresh, good, wrong), std::runtime_error);
+    EXPECT_THROW(ParallelMd(EngineConfig{.engine = &fresh, .checkpoint = &good},
+                            wrong),
+                 std::runtime_error);
   }
 }
 
@@ -404,7 +426,10 @@ HealResult run_healing(sim::Engine& engine, const std::string& plan_spec,
     injector.emplace(sim::FaultPlan::parse(plan_spec));
     engine.set_fault_injector(&*injector);
   }
-  ParallelMd md(engine, chaos_box(), chaos_gas(), config);
+  const auto initial = chaos_gas();
+  ParallelMd md(EngineConfig{.engine = &engine, .box = chaos_box(),
+                             .initial = &initial},
+                config);
   HealResult result;
   for (int i = 0; i < steps; ++i) result.stats.push_back(md.step());
   result.particles = md.gather_particles();
@@ -487,7 +512,10 @@ TEST(SelfHealing, CrashAtEveryStepSweepConservesEverything) {
   std::vector<double> step_end;
   {
     sim::SeqEngine engine(10);
-    ParallelMd md(engine, chaos_box(), chaos_gas(), config);
+    const auto initial = chaos_gas();
+    ParallelMd md(EngineConfig{.engine = &engine, .box = chaos_box(),
+                               .initial = &initial},
+                  config);
     step_end.push_back(engine.makespan());  // construction
     for (int i = 0; i < kSteps; ++i) {
       md.step();
@@ -659,7 +687,10 @@ TEST(SelfHealing, UnsurvivableCrashesFailLoudly) {
     sim::FaultInjector injector(sim::FaultPlan::parse("crash=4@0"));
     sim::SeqEngine engine(11);
     engine.set_fault_injector(&injector);
-    ParallelMd md(engine, chaos_box(), chaos_gas(), config);
+    const auto initial = chaos_gas();
+    ParallelMd md(EngineConfig{.engine = &engine, .box = chaos_box(),
+                               .initial = &initial},
+                  config);
     EXPECT_THROW(
         {
           for (int i = 0; i < 10; ++i) md.step();
@@ -674,7 +705,10 @@ TEST(SelfHealing, UnsurvivableCrashesFailLoudly) {
         sim::FaultPlan::parse("crash=4@0.02,crash=5@0.02"));
     sim::SeqEngine engine(11);
     engine.set_fault_injector(&injector);
-    ParallelMd md(engine, chaos_box(), chaos_gas(), config);
+    const auto initial = chaos_gas();
+    ParallelMd md(EngineConfig{.engine = &engine, .box = chaos_box(),
+                               .initial = &initial},
+                  config);
     EXPECT_THROW(
         {
           for (int i = 0; i < 30; ++i) md.step();

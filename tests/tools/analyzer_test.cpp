@@ -217,6 +217,36 @@ TEST(Analyzer, ServeRawWritesScopedToServeOutsideItsWritePaths) {
                   .empty());
 }
 
+TEST(Analyzer, DdmComputeChargeFlaggedOutsideTheRankCore) {
+  const auto findings = analyze_one(load_fixture(
+      "ddm_compute_charge.cpp", "src/ddm/ddm_compute_charge.cpp"));
+  // The `int advance` member, its access and std::advance must not count.
+  ASSERT_EQ(findings.size(), 4u);
+  for (const auto& finding : findings) {
+    EXPECT_EQ(finding.rule, "ddm-compute-charge");
+    EXPECT_EQ(finding.file, "src/ddm/ddm_compute_charge.cpp");
+  }
+  EXPECT_EQ(findings[0].line, 10);  // md::accumulate_forces(...)
+  EXPECT_EQ(findings[1].line, 15);  // comm.advance(...)
+  EXPECT_EQ(findings[2].line, 16);  // other->advance(...)
+  EXPECT_EQ(findings[3].line, 17);  // advance_compute(...)
+  EXPECT_TRUE(contains(findings[0].message, "ddm::RankMd"));
+}
+
+TEST(Analyzer, DdmComputeChargeScopedToDdmOutsideTheRankCore) {
+  // The core's own files and everything outside src/ddm are exempt: the
+  // serial engine and the virtual machine advance clocks too.
+  EXPECT_TRUE(analyze_one(load_fixture("ddm_compute_charge.cpp",
+                                       "src/ddm/rank_md.cpp"))
+                  .empty());
+  EXPECT_TRUE(analyze_one(load_fixture("ddm_compute_charge.cpp",
+                                       "src/ddm/rank_md.hpp"))
+                  .empty());
+  EXPECT_TRUE(analyze_one(load_fixture("ddm_compute_charge.cpp",
+                                       "src/md/ddm_compute_charge.cpp"))
+                  .empty());
+}
+
 TEST(Analyzer, IncludeCycleReportedOnce) {
   const auto findings = pcmd::analyze::analyze(
       {load_fixture("cycle_a.hpp", "src/util/cycle_a.hpp"),

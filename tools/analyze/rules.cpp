@@ -279,6 +279,45 @@ void rule_serve_durable_writes(const Unit& unit,
   }
 }
 
+// ---- ddm compute charge: one place -----------------------------------------
+//
+// The virtual-time compute charge is what Figs. 5 and 6 measure. The
+// rank-local core (src/ddm/rank_md.*) charges it for both the pillar and
+// the slab engine; a force sweep or clock advance anywhere else in src/ddm
+// would let one engine charge differently from the other.
+
+void rule_ddm_compute_charge(const Unit& unit,
+                             std::vector<Finding>& findings) {
+  const auto& path = unit.source->path;
+  if (!starts_with(path, "src/ddm/")) return;
+  if (path == "src/ddm/rank_md.hpp" || path == "src/ddm/rank_md.cpp") {
+    return;  // the core itself
+  }
+  static const std::set<std::string> kCalls = {"accumulate_forces",
+                                               "advance_compute"};
+  const auto& tokens = unit.tokens;
+  for (std::size_t i = 0; i + 1 < tokens.size(); ++i) {
+    const auto& token = tokens[i];
+    if (token.kind != Token::Kind::kIdentifier) continue;
+    const bool call = tokens[i + 1].kind == Token::Kind::kPunct &&
+                      tokens[i + 1].text == "(";
+    if (!call) continue;
+    const bool member =
+        i > 0 && tokens[i - 1].kind == Token::Kind::kPunct &&
+        (tokens[i - 1].text == "." ||
+         (tokens[i - 1].text == ">" && i > 1 && tokens[i - 2].text == "-"));
+    if (!kCalls.count(token.text) && !(member && token.text == "advance")) {
+      continue;
+    }
+    findings.push_back(
+        {"ddm-compute-charge", path, token.line,
+         token.text +
+             " in src/ddm outside the rank-local core — virtual-time "
+             "compute charges go through ddm::RankMd (ddm/rank_md), so both "
+             "engines charge alike"});
+  }
+}
+
 // ---- naked assert ---------------------------------------------------------
 //
 // assert vanishes under NDEBUG, aborts instead of reporting, and carries no
@@ -608,6 +647,7 @@ void run_rules(const std::vector<Source>& sources,
     rule_unordered_container(unit, findings);
     rule_wall_clock(unit, findings);
     rule_serve_durable_writes(unit, findings);
+    rule_ddm_compute_charge(unit, findings);
     rule_naked_assert(unit, findings);
     rule_pointer_key(unit, findings);
     rule_hot_alloc(unit, findings);
