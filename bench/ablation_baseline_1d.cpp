@@ -9,11 +9,12 @@
 // supercooled gas and on the same PE budget, and prints time-per-step
 // windows plus communication volume.
 //
-//   ./ablation_baseline_1d [--steps 900] [--density 0.384] [--pe 9]
+//   ./ablation_baseline_1d [--steps 600] [--density 0.384] [--pe 9]
 
-#include "ddm/parallel_md.hpp"
 #include "ddm/slab_md.hpp"
-#include "sim/trace.hpp"
+#include "obs/metrics.hpp"
+#include "run/run_spec.hpp"
+#include "run/trajectory.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "workload/paper_system.hpp"
@@ -23,20 +24,19 @@
 
 using namespace pcmd;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Cli cli(argc, argv);
   const int steps = static_cast<int>(cli.get_int("steps", 600));
   const double density = cli.get_double("density", 0.384);
   const int pe = static_cast<int>(cli.get_int("pe", 9));
+  run::require_all_flags_consumed(cli, "ablation_baseline_1d");
 
   // m = 4 gives K = 12 cell layers: enough for a 9-PE slab ring (the slab
   // needs at least one layer per PE — its granularity problem in a
   // nutshell) and a strong pillar-DLB configuration.
-  workload::PaperSystemSpec spec;
-  spec.pe_count = pe;
-  spec.m = 4;
-  spec.density = density;
-  spec.seed = 5;
+  run::RunSpec pillar_spec;
+  pillar_spec.with_pe_count(pe).with_m(4).with_density(density).with_seed(5);
+  const workload::PaperSystemSpec& spec = pillar_spec.system;
   Rng rng(spec.seed);
   const auto initial = workload::make_paper_system(spec, rng);
 
@@ -44,18 +44,8 @@ int main(int argc, char** argv) {
               "rho*=%.3f, %d steps ==\n\n",
               pe, initial.size(), density, steps);
 
-  // Square pillar with DLB.
-  sim::ThreadEngine pillar_engine(pe);
-  ddm::ParallelMdConfig pillar_config;
-  pillar_config.pe_side = spec.pe_side();
-  pillar_config.m = spec.m;
-  pillar_config.dt = spec.dt;
-  pillar_config.rescale_temperature = spec.temperature;
-  pillar_config.balancer.kind = ddm::BalancerKind::kPermanent;
-  ddm::ParallelMd pillar(ddm::EngineConfig{.engine = &pillar_engine,
-                                           .box = spec.box(),
-                                           .initial = &initial},
-                         pillar_config);
+  // Square pillar with the paper's DLB.
+  run::MdRun pillar(pillar_spec);
 
   // Slab ring, static and shifting.
   auto make_slab = [&](bool shift) {
@@ -92,12 +82,12 @@ int main(int argc, char** argv) {
 
   Table comm({"engine", "virtual total [s]", "messages", "bytes"});
   auto add = [&](const char* name, const sim::Engine& engine) {
-    const auto report = sim::machine_report(engine);
+    const auto report = obs::machine_report(engine);
     comm.add_row({name, Table::num(report.makespan, 4),
                   std::to_string(report.total_messages),
                   std::to_string(report.total_bytes)});
   };
-  add("pillar + DLB", pillar_engine);
+  add("pillar + DLB", pillar.engine());
   add("slab + shift", slab_engine);
   add("slab static", static_engine);
   std::printf("\n");
@@ -109,4 +99,6 @@ int main(int argc, char** argv) {
             "condensation more closely — the reason the paper builds on "
             "square pillars.");
   return 0;
+} catch (const std::exception& e) {
+  return run::exit_on_error(e);
 }

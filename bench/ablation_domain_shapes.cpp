@@ -10,6 +10,7 @@
 //   ./ablation_domain_shapes [--cells 48]
 
 #include "ddm/comm_volume.hpp"
+#include "run/run_spec.hpp"
 #include "sim/cost_model.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -34,9 +35,10 @@ std::optional<ddm::CommProfile> try_profile(ddm::DomainShape shape, int cells,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Cli cli(argc, argv);
   const int cells = static_cast<int>(cli.get_int("cells", 48));
+  run::require_all_flags_consumed(cli, "ablation_domain_shapes");
 
   std::printf("== Ablation A1: domain shapes at K = %d cells/axis "
               "(C = %d) ==\n\n",
@@ -77,4 +79,6 @@ int main(int argc, char** argv) {
             "with 8 fixed neighbours is what makes permanent-cell DLB "
             "tractable (the paper's motivation).");
   return 0;
+} catch (const std::exception& e) {
+  return run::exit_on_error(e);
 }

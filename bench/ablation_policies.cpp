@@ -24,6 +24,7 @@
 
 #include "ddm/balancer.hpp"
 #include "ddm/parallel_md.hpp"
+#include "run/run_spec.hpp"
 #include "theory/synthetic_balance.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -34,6 +35,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -225,8 +227,7 @@ void write_bakeoff_json(const std::string& path,
   std::printf("bake-off JSON written to %s\n", path.c_str());
 }
 
-void run_bakeoff_study(const Cli& cli) {
-  const int steps = static_cast<int>(cli.get_int("bake-steps", 60));
+void run_bakeoff_study(int steps, const std::optional<std::string>& json) {
   std::puts("\n== Bake-off: balancer policy x workload (real ParallelMd) ==\n");
   Table table({"policy", "workload", "makespan", "mean imb", "late imb",
                "transfers", "cells moved"});
@@ -245,17 +246,20 @@ void run_bakeoff_study(const Cli& cli) {
   table.print(std::cout);
   std::puts("(makespan: summed virtual step seconds; imb: fractional load "
             "imbalance Fmax/Fave - 1; late imb: last quarter of the run)");
-  if (const auto json = cli.get_optional("json")) {
-    write_bakeoff_json(*json, results);
-  }
+  if (json) write_bakeoff_json(*json, results);
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Cli cli(argc, argv);
-  if (cli.get_bool("bake-only", false)) {
-    run_bakeoff_study(cli);
+  const theory::SyntheticBalanceConfig base = base_config(cli);
+  const int bake_steps = static_cast<int>(cli.get_int("bake-steps", 60));
+  const auto json = cli.get_optional("json");
+  const bool bake_only = cli.get_bool("bake-only", false);
+  run::require_all_flags_consumed(cli, "ablation_policies");
+  if (bake_only) {
+    run_bakeoff_study(bake_steps, json);
     return 0;
   }
 
@@ -275,7 +279,7 @@ int main(int argc, char** argv) {
     };
     for (const auto& p : policies) {
       for (const bool fallback : {false, true}) {
-        auto config = base_config(cli);
+        auto config = base;
         config.dlb.policy = p.policy;
         config.dlb.fallback_to_helpable = fallback;
         const auto outcome = evaluate(config);
@@ -293,7 +297,7 @@ int main(int argc, char** argv) {
     Table table({"avoid overshoot", "mean spread", "late spread",
                  "transfers"});
     for (const bool avoid : {true, false}) {
-      auto config = base_config(cli);
+      auto config = base;
       config.dlb.fallback_to_helpable = true;
       config.dlb.avoid_overshoot = avoid;
       const auto outcome = evaluate(config);
@@ -312,7 +316,7 @@ int main(int argc, char** argv) {
   {
     Table table({"min gap", "mean spread", "late spread", "transfers"});
     for (const double gap : {0.0, 0.02, 0.05, 0.1, 0.25, 0.5}) {
-      auto config = base_config(cli);
+      auto config = base;
       config.dlb.fallback_to_helpable = true;
       config.dlb.min_relative_gap = gap;
       const auto outcome = evaluate(config);
@@ -327,7 +331,7 @@ int main(int argc, char** argv) {
   {
     Table table({"interval", "mean spread", "late spread", "transfers"});
     for (const int interval : {1, 2, 5, 10, 25, 100}) {
-      auto config = base_config(cli);
+      auto config = base;
       config.dlb.fallback_to_helpable = true;
       config.dlb.interval = interval;
       const auto outcome = evaluate(config);
@@ -341,13 +345,15 @@ int main(int argc, char** argv) {
 
   std::puts("\nno-DLB baseline:");
   {
-    auto config = base_config(cli);
+    auto config = base;
     config.balancer = ddm::BalancerKind::kNone;
     const auto outcome = evaluate(config);
     std::printf("  mean spread %.3f, late spread %.3f, transfers %d\n",
                 outcome.mean_spread, outcome.late_spread, outcome.transfers);
   }
 
-  run_bakeoff_study(cli);
+  run_bakeoff_study(bake_steps, json);
   return 0;
+} catch (const std::exception& e) {
+  return run::exit_on_error(e);
 }

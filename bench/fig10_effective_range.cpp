@@ -9,8 +9,9 @@
 // engine.
 //
 //   ./fig10_effective_range [--pe-side 6] [--steps 500] [--reps 3]
-//                           [--full-md]
+//                           [--full-md] [--md-steps 4000]
 
+#include "run/run_spec.hpp"
 #include "run/trajectory.hpp"
 #include "theory/bounds.hpp"
 #include "theory/effective_range.hpp"
@@ -61,12 +62,14 @@ void print_panel(const theory::EffectiveRangeResult& result) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Cli cli(argc, argv);
   const int pe_side = static_cast<int>(cli.get_int("pe-side", 6));
   const int steps = static_cast<int>(cli.get_int("steps", 500));
   const int reps = static_cast<int>(cli.get_int("reps", 3));
   const bool full_md = cli.get_bool("full-md", false);
+  const std::int64_t md_steps = cli.get_int("md-steps", 4000);
+  run::require_all_flags_consumed(cli, "fig10_effective_range");
 
   std::printf("== Figure 10: theoretical upper bounds vs experimental "
               "boundary points (%d virtual PEs) ==\n\n",
@@ -90,7 +93,7 @@ int main(int argc, char** argv) {
                             .with_m(2)
                             .with_density(density)
                             .with_seed(11)
-                            .with_steps(cli.get_int("md-steps", 4000));
+                            .with_steps(md_steps);
       const auto run = run::run_md_trajectory(spec);
       const auto point = theory::extract_boundary_point(
           run.f_max, run.f_min, run.f_avg, run.concentration, spec.system.m);
@@ -109,4 +112,6 @@ int main(int argc, char** argv) {
             "theoretical upper bound; the fitted experimental boundary "
             "tracks the bound's 1/(an+b) shape from below.");
   return 0;
+} catch (const std::exception& e) {
+  return run::exit_on_error(e);
 }

@@ -27,8 +27,6 @@
 // retry counters land in the metrics CSV. --checkpoint-every N serializes a
 // full checkpoint every N steps and reports its size.
 
-#include "obs/chrome_trace.hpp"
-#include "obs/collector.hpp"
 #include "obs/metrics.hpp"
 #include "run/run_spec.hpp"
 #include "run/trajectory.hpp"
@@ -37,71 +35,32 @@
 
 #include <cstdio>
 #include <iostream>
-#include <optional>
 
 using namespace pcmd;
 
 namespace {
 
-struct CaseResult {
-  std::vector<obs::StepMetrics> ddm;  // one row per step
-  std::vector<obs::StepMetrics> dlb;
-};
-
-void export_run(const std::string& base, obs::TraceCollector& collector,
-                std::span<const obs::StepMetrics> rows) {
-  if (!obs::write_chrome_trace_file(base + ".json", collector)) {
-    std::fprintf(stderr, "trace: failed to write %s.json\n", base.c_str());
+void report_ft(const run::RunSpec& spec, const char* label,
+               const run::MdTrajectoryResult& run) {
+  if (!spec.fault_plan().empty()) {
+    std::printf("  [%s] retransmissions %llu, recv timeouts %llu\n", label,
+                static_cast<unsigned long long>(run.retransmissions_total),
+                static_cast<unsigned long long>(run.recv_timeouts_total));
   }
-  if (!obs::write_csv_file(base + ".csv", rows)) {
-    std::fprintf(stderr, "trace: failed to write %s.csv\n", base.c_str());
+  if (spec.checkpoint_every > 0) {
+    std::printf("  [%s] %d checkpoints, last %zu bytes\n", label,
+                run.checkpoints_taken, run.last_checkpoint.size());
   }
-  collector.clear();
 }
 
 // Runs the case's DDM and DLB-DDM trajectories. `suffix` distinguishes the
-// per-case trace sinks (PATH.m4.ddm.json, ...). The DLB-DDM side runs the
-// spec's policy; a spec that names none (--balancer none, --dlb 0) keeps
-// the paper's there, since the DDM side already is that run.
-CaseResult run_case(const run::RunSpec& spec, const std::string& suffix) {
-  obs::TraceCollector collector;
-  obs::TraceCollector* trace = spec.trace_path ? &collector : nullptr;
-  const auto trace_base =
-      spec.trace_path ? std::optional(*spec.trace_path + suffix)
-                      : std::nullopt;
-
-  auto report_ft = [&](const char* label,
-                       const run::MdTrajectoryResult& run) {
-    if (!spec.fault_plan().empty()) {
-      std::printf("  [%s] retransmissions %llu, recv timeouts %llu\n", label,
-                  static_cast<unsigned long long>(run.retransmissions_total),
-                  static_cast<unsigned long long>(run.recv_timeouts_total));
-    }
-    if (spec.checkpoint_every > 0) {
-      std::printf("  [%s] %d checkpoints, last %zu bytes\n", label,
-                  run.checkpoints_taken, run.last_checkpoint.size());
-    }
-  };
-
-  CaseResult result;
-  {
-    const auto run = run::run_md_trajectory(
-        run::RunSpec(spec).with_balancer(ddm::BalancerKind::kNone), trace);
-    result.ddm = run.metrics;
-    report_ft("ddm", run);
-  }
-  if (trace_base) export_run(*trace_base + ".ddm", collector, result.ddm);
-  run::RunSpec dlb = spec;
-  if (dlb.balancer.kind == ddm::BalancerKind::kNone) {
-    dlb.with_balancer(ddm::BalancerKind::kPermanent);
-  }
-  {
-    const auto run = run::run_md_trajectory(dlb, trace);
-    result.dlb = run.metrics;
-    report_ft("dlb", run);
-  }
-  if (trace_base) export_run(*trace_base + ".dlb", collector, result.dlb);
-  return result;
+// per-case trace files (PATH.m4.ddm.json, ...).
+run::DdmDlbRuns run_case(run::RunSpec spec, const std::string& suffix) {
+  if (spec.trace_path) *spec.trace_path += suffix;
+  auto runs = run::run_ddm_and_dlb(spec);
+  report_ft(spec, "ddm", runs.ddm);
+  report_ft(spec, "dlb", runs.dlb);
+  return runs;
 }
 
 double window_mean(const std::vector<obs::StepMetrics>& rows, int lo, int hi) {
@@ -110,28 +69,31 @@ double window_mean(const std::vector<obs::StepMetrics>& rows, int lo, int hi) {
   return sum / std::max(1, hi - lo);
 }
 
-void print_case(const char* title, const CaseResult& result, int interval) {
+void print_case(const char* title, const run::DdmDlbRuns& runs,
+                int interval) {
+  const auto& ddm = runs.ddm.metrics;
+  const auto& dlb = runs.dlb.metrics;
   std::printf("%s\n", title);
   Table table({"steps", "DDM time/step [s]", "DLB-DDM time/step [s]",
                "DDM/DLB"});
-  const int steps = static_cast<int>(result.ddm.size());
+  const int steps = static_cast<int>(ddm.size());
   for (int hi = interval; hi <= steps; hi += interval) {
-    const double a = window_mean(result.ddm, hi - interval, hi);
-    const double b = window_mean(result.dlb, hi - interval, hi);
+    const double a = window_mean(ddm, hi - interval, hi);
+    const double b = window_mean(dlb, hi - interval, hi);
     table.add_row({std::to_string(hi), Table::num(a, 4), Table::num(b, 4),
                    Table::num(b > 0 ? a / b : 0.0, 3)});
   }
   table.print(std::cout);
   double total_a = 0.0, total_b = 0.0;
-  for (const auto& row : result.ddm) total_a += row.t_step;
-  for (const auto& row : result.dlb) total_b += row.t_step;
+  for (const auto& row : ddm) total_a += row.t_step;
+  for (const auto& row : dlb) total_b += row.t_step;
   std::printf("whole run: DDM %.2f s, DLB-DDM %.2f s (speedup %.2fx)\n\n",
               total_a, total_b, total_b > 0 ? total_a / total_b : 0.0);
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Cli cli(argc, argv);
   const bool full = cli.get_bool("full", false);
   run::RunSpec defaults;
@@ -166,4 +128,6 @@ int main(int argc, char** argv) {
   std::puts("paper shape: DDM's per-step time climbs as the gas condenses; "
             "DLB-DDM stays nearly flat, more clearly at m = 4 than m = 2.");
   return 0;
+} catch (const std::exception& e) {
+  return run::exit_on_error(e);
 }

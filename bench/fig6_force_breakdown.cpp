@@ -23,8 +23,6 @@
 // same rows --trace writes as PATH.ddm.csv / PATH.dlb.csv; the Chrome
 // trace-event JSONs next to them open in Perfetto.
 
-#include "obs/chrome_trace.hpp"
-#include "obs/collector.hpp"
 #include "obs/metrics.hpp"
 #include "run/run_spec.hpp"
 #include "run/trajectory.hpp"
@@ -65,20 +63,9 @@ void print_breakdown(const char* title,
   std::printf("\n");
 }
 
-void export_run(const std::string& base, obs::TraceCollector& collector,
-                std::span<const obs::StepMetrics> rows) {
-  if (!obs::write_chrome_trace_file(base + ".json", collector)) {
-    std::fprintf(stderr, "trace: failed to write %s.json\n", base.c_str());
-  }
-  if (!obs::write_csv_file(base + ".csv", rows)) {
-    std::fprintf(stderr, "trace: failed to write %s.csv\n", base.c_str());
-  }
-  collector.clear();
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Cli cli(argc, argv);
   const bool full = cli.get_bool("full", false);
   run::RunSpec defaults;
@@ -93,30 +80,15 @@ int main(int argc, char** argv) {
       static_cast<int>(cli.get_int("interval", std::max(1, steps / 12)));
   run::require_all_flags_consumed(cli, "fig6_force_breakdown");
 
-  const auto& trace = spec.trace_path;
-  obs::TraceCollector collector;
-  obs::TraceCollector* sink = trace ? &collector : nullptr;
-
   std::printf("== Figure 6: Tt and Fmax/Fave/Fmin, m = 4, %d virtual PEs "
               "(T3E cost model) ==\n\n",
               spec.system.pe_count);
 
-  const auto ddm = run::run_md_trajectory(
-      run::RunSpec(spec).with_balancer(ddm::BalancerKind::kNone), sink);
+  const auto [ddm, dlb] = run::run_ddm_and_dlb(spec);
   print_breakdown("(a) DDM — the Fmax/Fmin gap widens with condensation",
                   ddm.metrics, interval);
-  if (trace) export_run(*trace + ".ddm", collector, ddm.metrics);
-
-  // The DLB-DDM side runs the spec's policy; a spec that names none keeps
-  // the paper's there, since the DDM side already is that run.
-  run::RunSpec dlb_spec = spec;
-  if (dlb_spec.balancer.kind == ddm::BalancerKind::kNone) {
-    dlb_spec.with_balancer(ddm::BalancerKind::kPermanent);
-  }
-  const auto dlb = run::run_md_trajectory(dlb_spec, sink);
   print_breakdown("(b) DLB-DDM — the gap stays small inside the DLB limit",
                   dlb.metrics, interval);
-  if (trace) export_run(*trace + ".dlb", collector, dlb.metrics);
 
   if (!spec.fault_plan().empty()) {
     std::printf("fault tolerance: DDM %llu retransmissions, DLB-DDM %llu "
@@ -133,4 +105,6 @@ int main(int argc, char** argv) {
   std::puts("paper shape: Tt follows Fmax in both; DLB-DDM holds "
             "Fmax ~ Fave ~ Fmin until concentration exceeds the DLB limit.");
   return 0;
+} catch (const std::exception& e) {
+  return run::exit_on_error(e);
 }

@@ -6,9 +6,14 @@
 // marks the experimental boundary point where Fmax - Fmin begins to grow.
 // This bench prints the trajectory samples and, when found, the boundary.
 //
-//   ./fig9_trajectory [--steps 1500] [--interval 100] [--density 0.384]
-//                     [--m 3] [--seed 2] [--full]
+//   ./fig9_trajectory [--steps 2500] [--interval 166] [--density 0.384]
+//                     [--m 3] [--seed 2] [--full] [--trace out/fig9]
+//                     [shared run flags — see run/run_spec.hpp]
+//
+// --trace PATH writes the run's Chrome trace-event JSON (PATH.json) and its
+// per-step metrics CSV (PATH.csv).
 
+#include "run/run_spec.hpp"
 #include "run/trajectory.hpp"
 #include "theory/bounds.hpp"
 #include "theory/effective_range.hpp"
@@ -20,19 +25,20 @@
 
 using namespace pcmd;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Cli cli(argc, argv);
   const bool full = cli.get_bool("full", false);
-  const int steps = static_cast<int>(cli.get_int("steps", full ? 8000 : 2500));
+  run::RunSpec defaults;
+  defaults.system.pe_count = full ? 36 : 9;
+  defaults.system.m = 3;
+  defaults.system.density = 0.384;
+  defaults.system.seed = 2;
+  defaults.steps = full ? 8000 : 2500;
+  const auto spec = run::parse_run_spec(cli, defaults);
+  const int steps = static_cast<int>(spec.steps);
   const int interval =
       static_cast<int>(cli.get_int("interval", std::max(1, steps / 15)));
-
-  run::RunSpec spec;
-  spec.with_pe_count(full ? 36 : 9)
-      .with_m(static_cast<int>(cli.get_int("m", 3)))
-      .with_density(cli.get_double("density", 0.384))
-      .with_seed(static_cast<std::uint64_t>(cli.get_int("seed", 2)))
-      .with_steps(steps);
+  run::require_all_flags_consumed(cli, "fig9_trajectory");
   const workload::PaperSystemSpec& system = spec.system;
 
   std::printf("== Figure 9: (n, C0/C) trajectory of one DLB-DDM run "
@@ -79,4 +85,6 @@ int main(int argc, char** argv) {
             "condensation proceeds; the boundary appears where the force "
             "spread starts growing.");
   return 0;
+} catch (const std::exception& e) {
+  return run::exit_on_error(e);
 }

@@ -6,8 +6,9 @@
 //   * E/T barely depends on the number of PEs for fixed m,
 //   * E/T grows with m (the experimental boundary approaches the bound).
 //
-//   ./table1_ratio [--steps 400] [--reps 2] [--full]
+//   ./table1_ratio [--steps 550] [--reps 2] [--full]
 
+#include "run/run_spec.hpp"
 #include "theory/effective_range.hpp"
 #include "util/cli.hpp"
 #include "util/stats.hpp"
@@ -18,13 +19,14 @@
 
 using namespace pcmd;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Cli cli(argc, argv);
   const bool full = cli.get_bool("full", false);
   // m = 4 holds out longest; the horizon must reach past its DLB limit or
   // its cell reports "-" (no boundary found = balancing never broke).
   const int steps = static_cast<int>(cli.get_int("steps", full ? 800 : 550));
   const int reps = static_cast<int>(cli.get_int("reps", full ? 3 : 2));
+  run::require_all_flags_consumed(cli, "table1_ratio");
 
   std::puts("== Table 1: ratio E/T of experimental boundary to theoretical "
             "upper bound ==\n");
@@ -69,4 +71,6 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+} catch (const std::exception& e) {
+  return run::exit_on_error(e);
 }

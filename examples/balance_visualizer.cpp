@@ -12,6 +12,7 @@
 #include "core/dlb_protocol.hpp"
 #include "core/pillar_layout.hpp"
 #include "md/cell_grid.hpp"
+#include "run/run_spec.hpp"
 #include "util/cli.hpp"
 #include "workload/synthetic.hpp"
 
@@ -51,12 +52,13 @@ void render(const core::PillarLayout& layout, const core::ColumnMap& map,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Cli cli(argc, argv);
   const int pe_side = static_cast<int>(cli.get_int("pe-side", 3));
   const int m = static_cast<int>(cli.get_int("m", 4));
   const int steps = static_cast<int>(cli.get_int("steps", 240));
   const int frames = static_cast<int>(cli.get_int("frames", 4));
+  run::require_all_flags_consumed(cli, "balance_visualizer");
 
   const core::PillarLayout layout(pe_side, m);
   const int k = layout.cells_axis();
@@ -117,4 +119,6 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+} catch (const std::exception& e) {
+  return run::exit_on_error(e);
 }

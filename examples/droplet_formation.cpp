@@ -7,67 +7,53 @@
 // cluster statistics and the force-time imbalance — a miniature of the
 // paper's Figures 5 and 6.
 //
-//   ./droplet_formation [--steps 600] [--density 0.384] [--m 2] [--seed 3]
+//   ./droplet_formation [--steps 600] [--density 0.256] [--m 2] [--seed 3]
 
-#include "ddm/parallel_md.hpp"
 #include "md/rdf.hpp"
+#include "run/run_spec.hpp"
+#include "run/trajectory.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "workload/cluster.hpp"
-#include "workload/paper_system.hpp"
 
 #include <cstdio>
 #include <iostream>
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace pcmd;
   const Cli cli(argc, argv);
 
-  workload::PaperSystemSpec spec;
-  spec.pe_count = 9;
-  spec.m = static_cast<int>(cli.get_int("m", 2));
-  spec.density = cli.get_double("density", 0.256);
-  spec.seed = static_cast<std::uint64_t>(cli.get_int("seed", 3));
+  run::RunSpec ddm_spec;
+  ddm_spec.with_pe_count(9)
+      .with_m(static_cast<int>(cli.get_int("m", 2)))
+      .with_density(cli.get_double("density", 0.256))
+      .with_seed(static_cast<std::uint64_t>(cli.get_int("seed", 3)))
+      .with_balancer(ddm::BalancerKind::kNone);
   const auto steps = cli.get_int("steps", 600);
+  run::require_all_flags_consumed(cli, "droplet_formation");
+  const run::RunSpec dlb_spec =
+      run::RunSpec(ddm_spec).with_balancer(ddm::BalancerKind::kPermanent);
+  const workload::PaperSystemSpec& spec = ddm_spec.system;
 
-  Rng rng(spec.seed);
-  const auto initial = workload::make_paper_system(spec, rng);
-  std::printf("droplet formation: N=%zu particles, rho*=%.3f, T*=%.3f, "
+  // The same supercooled system under DDM and DLB-DDM, stepped in lockstep.
+  run::MdRun ddm_run(ddm_spec);
+  run::MdRun dlb_run(dlb_spec);
+  std::printf("droplet formation: N=%lld particles, rho*=%.3f, T*=%.3f, "
               "%lld steps, DDM vs DLB-DDM on 9 virtual PEs\n\n",
-              initial.size(), spec.density, spec.temperature,
-              static_cast<long long>(steps));
-
-  ddm::ParallelMdConfig base;
-  base.pe_side = spec.pe_side();
-  base.m = spec.m;
-  base.dt = spec.dt;
-  base.rescale_temperature = spec.temperature;
-  base.rescale_interval = spec.rescale_interval;
-
-  sim::ThreadEngine ddm_engine(spec.pe_count);
-  sim::ThreadEngine dlb_engine(spec.pe_count);
-  auto dlb_config = base;
-  dlb_config.balancer.kind = ddm::BalancerKind::kPermanent;
-  ddm::ParallelMd ddm_md(ddm::EngineConfig{.engine = &ddm_engine,
-                                           .box = spec.box(),
-                                           .initial = &initial},
-                         base);
-  ddm::ParallelMd dlb_md(ddm::EngineConfig{.engine = &dlb_engine,
-                                           .box = spec.box(),
-                                           .initial = &initial},
-                         dlb_config);
+              static_cast<long long>(dlb_run.particles()), spec.density,
+              spec.temperature, static_cast<long long>(steps));
 
   Table table({"step", "largest cluster", "clusters", "empty cells",
                "DDM imb", "DLB imb", "transfers"});
   int transfers = 0;
   for (std::int64_t i = 1; i <= steps; ++i) {
-    const auto a = ddm_md.step();
-    const auto b = dlb_md.step();
+    const auto a = ddm_run.step();
+    const auto b = dlb_run.step();
     transfers += b.transfers;
     if (i % 100 == 0 || i == steps) {
       // Cluster analysis on the gathered DLB state (both runs share the
       // same physics to rounding).
-      const auto particles = dlb_md.gather_particles();
+      const auto particles = dlb_run.md().gather_particles();
       // Bond distance 1.1 sigma: tight enough that the dilute gas does not
       // percolate into one spurious "cluster".
       const auto clusters =
@@ -87,7 +73,7 @@ int main(int argc, char** argv) {
 
   // Structure check: condensation grows the first-neighbour g(r) peak.
   md::RadialDistribution rdf(spec.box(), 3.5, 14);
-  rdf.accumulate(dlb_md.gather_particles());
+  rdf.accumulate(dlb_run.md().gather_particles());
   const auto g = rdf.g();
   std::printf("\ng(r) after %lld steps:", static_cast<long long>(steps));
   for (int b = 2; b < rdf.bins(); b += 2) {
@@ -97,8 +83,10 @@ int main(int argc, char** argv) {
 
   std::printf("\nvirtual seconds for the whole run: DDM %.3f s, DLB-DDM %.3f "
               "s\n",
-              ddm_engine.makespan(), dlb_engine.makespan());
+              ddm_run.engine().makespan(), dlb_run.engine().makespan());
   std::puts("(condensation concentrates load; DLB-DDM should stay flatter "
             "as clusters grow — run with --steps 3000+ to see it clearly)");
   return 0;
+} catch (const std::exception& e) {
+  return pcmd::run::exit_on_error(e);
 }

@@ -109,8 +109,9 @@ std::vector<Submission> make_queue(int jobs) {
         // third: ranks 0 and 4 die with no healing, several ranks of one
         // phase miss their messages, and every attempt fails with the lowest
         // such rank's peer-dead error, naming the dead sender. It runs DDM
-        // because under PCMD_CHECKS the DLB ownership check would fail
-        // first, on the driving thread between steps.
+        // (--balancer none). The checked build's ownership check skips any
+        // step with a dead role, so DLB would no longer trip it first; the
+        // text stays as it is because it is part of the store's bytes.
         const std::string head =
             base + "--steps 10 --seed " + std::to_string(seed);
         const int shape = i / 10 % 3;

@@ -6,64 +6,54 @@
 // the virtual machine's utilisation report.
 //
 //   ./quickstart [--pe-side 3] [--m 2] [--density 0.256] [--steps 300]
-//                [--dlb true] [--seed 7]
+//                [--dlb true] [--seed 7] [--trace out/quickstart]
+//                [shared run flags — see run/run_spec.hpp]
 
-#include "ddm/parallel_md.hpp"
-#include "sim/trace.hpp"
+#include "obs/metrics.hpp"
+#include "run/run_spec.hpp"
+#include "run/trajectory.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
-#include "workload/paper_system.hpp"
 
 #include <cstdio>
 #include <iostream>
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace pcmd;
   const Cli cli(argc, argv);
 
-  // 1. Describe the system exactly as the paper does: P PEs, pillar
-  //    cross-section m, reduced density and temperature.
-  workload::PaperSystemSpec spec;
-  spec.pe_count = static_cast<int>(cli.get_int("pe-side", 3)) *
-                  static_cast<int>(cli.get_int("pe-side", 3));
-  spec.m = static_cast<int>(cli.get_int("m", 2));
-  spec.density = cli.get_double("density", 0.256);
-  spec.seed = static_cast<std::uint64_t>(cli.get_int("seed", 7));
-  const auto steps = cli.get_int("steps", 300);
-  const bool dlb = cli.get_bool("dlb", true);
+  // 1. Describe the run exactly as the paper does: P PEs, pillar
+  //    cross-section m, reduced density and temperature, DLB on or off.
+  run::RunSpec defaults;
+  const int pe_side = static_cast<int>(cli.get_int("pe-side", 3));
+  defaults.system.pe_count = pe_side * pe_side;
+  defaults.system.m = 2;
+  defaults.system.density = 0.256;
+  defaults.system.seed = 7;
+  defaults.steps = 300;
+  const auto spec = run::parse_run_spec(cli, defaults);
+  run::require_all_flags_consumed(cli, "quickstart");
+  const workload::PaperSystemSpec& system = spec.system;
+  const bool dlb = spec.balancer.kind != ddm::BalancerKind::kNone;
 
   std::printf("pcmd quickstart: P=%d PEs, m=%d, C=%lld cells, N=%lld "
               "particles, T*=%.3f, rho*=%.3f, DLB=%s\n",
-              spec.pe_count, spec.m, static_cast<long long>(spec.total_cells()),
-              static_cast<long long>(spec.particle_count()), spec.temperature,
-              spec.density, dlb ? "on" : "off");
+              system.pe_count, system.m,
+              static_cast<long long>(system.total_cells()),
+              static_cast<long long>(system.particle_count()),
+              system.temperature, system.density, dlb ? "on" : "off");
 
-  // 2. Generate the initial condition.
-  Rng rng(spec.seed);
-  const auto initial = workload::make_paper_system(spec, rng);
+  // 2. Build the initial condition, the virtual parallel machine (T3E-like
+  //    cost model), the SPMD engine and the MD on top of it.
+  run::MdRun run(spec);
 
-  // 3. Build the virtual parallel machine (T3E-like cost model) and the
-  //    SPMD engine on top of it.
-  sim::ThreadEngine engine(spec.pe_count, sim::MachineModel::t3e());
-  ddm::ParallelMdConfig config;
-  config.pe_side = spec.pe_side();
-  config.m = spec.m;
-  config.dt = spec.dt;
-  config.rescale_temperature = spec.temperature;
-  config.rescale_interval = spec.rescale_interval;
-  config.balancer.kind =
-      dlb ? ddm::BalancerKind::kPermanent : ddm::BalancerKind::kNone;
-  ddm::ParallelMd md(ddm::EngineConfig{.engine = &engine, .box = spec.box(),
-                                       .initial = &initial},
-                     config);
-
-  // 4. Run, reporting every 50 steps.
+  // 3. Run, reporting every 50 steps.
   Table table({"step", "T*", "E_pot/N", "Tt [s]", "Fmax/Fmin", "transfers"});
   int transfers = 0;
-  for (std::int64_t i = 1; i <= steps; ++i) {
-    const auto stats = md.step();
+  for (std::int64_t i = 1; i <= spec.steps; ++i) {
+    const auto stats = run.step();
     transfers += stats.transfers;
-    if (i % 50 == 0 || i == steps) {
+    if (i % 50 == 0 || i == spec.steps) {
       table.add_row({std::to_string(i), Table::num(stats.temperature, 4),
                      Table::num(stats.potential_energy / stats.total_particles, 4),
                      Table::num(stats.t_step, 4),
@@ -76,10 +66,12 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  // 5. Machine utilisation of the whole run.
-  std::cout << '\n' << sim::machine_report(engine) << '\n';
+  // 4. Machine utilisation of the whole run.
+  std::cout << '\n' << obs::machine_report(run.engine()) << '\n';
 
-  const auto ownership = md.check_ownership();
+  const auto ownership = run.md().check_ownership();
   std::printf("ownership invariants: %s\n", ownership.ok ? "OK" : "VIOLATED");
   return ownership.ok ? 0 : 1;
+} catch (const std::exception& e) {
+  return pcmd::run::exit_on_error(e);
 }

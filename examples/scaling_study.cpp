@@ -13,8 +13,9 @@
 //                   [--degrade rank=4,at=0.05] [--degrade-factor 6]
 //
 // --trace PATH writes one Chrome trace-event JSON (PATH.p9.json, PATH.p16.json,
-// ... — open in Perfetto) and one per-step metrics CSV per PE-grid size; the
-// --degrade mode's 3x3 run writes PATH.p9.json.
+// ... — open in Perfetto) and one per-step metrics CSV (PATH.p9.csv, ...)
+// per PE-grid size; the --degrade mode's 3x3 run writes PATH.p9.json and
+// PATH.p9.csv.
 //
 // --faults PLAN injects deterministic message faults into the sweep and
 // routes all traffic through the reliable channel (physics unchanged).
@@ -33,58 +34,34 @@
 // off the slow PE until the imbalance is absorbed.
 
 #include "ddm/comm_volume.hpp"
-#include "ddm/parallel_md.hpp"
 #include "obs/metrics.hpp"
-#include "obs/session.hpp"
 #include "run/run_spec.hpp"
 #include "run/trajectory.hpp"
-#include "sim/fault.hpp"
-#include "sim/trace.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
-#include "workload/paper_system.hpp"
 
 #include <cstdio>
 #include <iostream>
-#include <optional>
-#include <stdexcept>
 #include <string>
 
 namespace {
 
-// The --trace file of one PE-grid size; empty (no trace) without --trace.
-std::string trace_file(const pcmd::run::RunSpec& spec) {
-  return spec.trace_path ? *spec.trace_path + ".p" +
-                               std::to_string(spec.system.pe_count) + ".json"
-                         : "";
+// The spec of one PE-grid size; its trace, if any, goes to PATH.pN.
+pcmd::run::RunSpec grid_spec(pcmd::run::RunSpec spec, int pe_count) {
+  spec.system.pe_count = pe_count;
+  if (spec.trace_path) *spec.trace_path += ".p" + std::to_string(pe_count);
+  return spec;
 }
 
 // The --degrade mode: DLB absorbing a permanently slowed rank. The degrade
-// spec itself ("rank=K,at=T") is parsed by the shared run::RunSpec parser.
+// spec itself ("rank=K,at=T") is parsed by the shared run::RunSpec parser;
+// the driver rejects a rank the 3x3 machine lacks.
 int run_degrade_mode(const pcmd::run::RunSpec& base) {
   using namespace pcmd;
-  run::RunSpec spec = base;
-  spec.system.pe_count = 9;
+  const run::RunSpec spec = grid_spec(base, 9);
   const run::DegradeSpec& degrade = *spec.degrade;
-  if (degrade.rank < 0 || degrade.rank >= spec.system.pe_count) {
-    throw std::invalid_argument("--degrade rank out of range for 3x3");
-  }
-  Rng rng(spec.system.seed);
-  const auto initial = workload::make_paper_system(spec.system, rng);
-
   // fault_plan() folds the degrade stall into any --faults plan.
-  sim::FaultInjector injector(spec.fault_plan());
-
-  ddm::ParallelMdConfig config = spec.parallel_config();
-  sim::ThreadEngine engine(ddm::engine_rank_count(config));
-  engine.set_fault_injector(&injector);
-  obs::TraceSession session(engine, trace_file(spec));
-  config.trace = session.collector();
-  ddm::ParallelMd md(ddm::EngineConfig{.engine = &engine,
-                                       .box = spec.system.box(),
-                                       .initial = &initial},
-                     config);
-  obs::MetricsRecorder recorder(engine);
+  run::MdRun run(spec);
 
   std::printf("== degrade mode: rank %d slows %.1fx at t=%g s (3x3, m=%d, "
               "balancer %s) ==\n",
@@ -101,9 +78,8 @@ int run_degrade_mode(const pcmd::run::RunSpec& base) {
   } before, impact, absorbed;
   int steps_after = 0;
   for (std::int64_t i = 0; i < spec.steps; ++i) {
-    const double start = engine.makespan();
-    const auto stats = md.step();
-    recorder.record(run::step_input(stats));
+    const double start = run.engine().makespan();
+    const auto stats = run.step();
     Bucket* b = &before;
     if (start >= degrade.at) {
       ++steps_after;
@@ -115,7 +91,6 @@ int run_degrade_mode(const pcmd::run::RunSpec& base) {
     b->transfers += stats.transfers;
     b->steps += 1;
   }
-  session.finish(recorder.rows());
 
   Table table({"phase", "steps", "Fmax [s]", "Fave [s]", "Fmin [s]",
                "(Fmax-Fmin)/Fave", "DLB transfers"});
@@ -132,7 +107,7 @@ int run_degrade_mode(const pcmd::run::RunSpec& base) {
   add("impact (first 30)", impact);
   add("absorbed (rest)", absorbed);
   table.print(std::cout);
-  const auto fc = injector.counters();
+  const auto fc = run.engine().fault_injector()->counters();
   std::printf("\nstall stretched %llu compute intervals by %.3f virtual "
               "seconds total.\n",
               static_cast<unsigned long long>(fc.stalled_advances),
@@ -145,7 +120,7 @@ int run_degrade_mode(const pcmd::run::RunSpec& base) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace pcmd;
   const Cli cli(argc, argv);
   run::RunSpec defaults;
@@ -164,10 +139,6 @@ int main(int argc, char** argv) {
     base.steps = std::max<std::int64_t>(base.steps, 300);
     return run_degrade_mode(base);
   }
-  const sim::FaultPlan& faults = base.faults;
-  std::optional<sim::FaultInjector> injector;
-  if (!faults.empty()) injector.emplace(faults);
-  const int checkpoint_every = base.checkpoint_every;
   const bool healing = base.healing_enabled();
   const std::int64_t steps = base.steps;
 
@@ -175,39 +146,17 @@ int main(int argc, char** argv) {
   Table scaling({"PEs", "N", "cells", "time/step [s]", "efficiency",
                  "msgs/step/PE"});
   for (const int side : {3, 4, 5, 6}) {
-    run::RunSpec case_spec = base;
-    case_spec.system.pe_count = side * side;
+    const run::RunSpec case_spec = grid_spec(base, side * side);
     const workload::PaperSystemSpec& spec = case_spec.system;
-    Rng rng(spec.seed);
-    const auto initial = workload::make_paper_system(spec, rng);
-
-    ddm::ParallelMdConfig config = case_spec.parallel_config();
-    sim::ThreadEngine engine(ddm::engine_rank_count(config));
-    if (injector) engine.set_fault_injector(&*injector);
-    obs::TraceSession session(engine, trace_file(case_spec));
-    config.trace = session.collector();
-    ddm::ParallelMd md(ddm::EngineConfig{.engine = &engine, .box = spec.box(),
-                                         .initial = &initial},
-                       config);
-    obs::MetricsRecorder recorder(engine);
-
-    sim::Buffer last_checkpoint;
-    int checkpoints_taken = 0;
-    const double before = engine.makespan();
-    for (std::int64_t i = 0; i < steps; ++i) {
-      recorder.record(run::step_input(md.step()));
-      if (checkpoint_every > 0 && (i + 1) % checkpoint_every == 0) {
-        last_checkpoint = md.checkpoint();
-        ++checkpoints_taken;
-      }
-    }
-    session.finish(recorder.rows());
-    if (checkpoints_taken > 0) {
+    run::MdRun run(case_spec);
+    const double before = run.engine().makespan();
+    for (std::int64_t i = 0; i < steps; ++i) run.step();
+    if (run.checkpoints_taken() > 0) {
       std::printf("p%d: %d checkpoints, last %zu bytes\n", spec.pe_count,
-                  checkpoints_taken, last_checkpoint.size());
+                  run.checkpoints_taken(), run.last_checkpoint().size());
     }
     if (healing) {
-      const auto& rc = md.recovery_counters();
+      const auto& rc = run.md().recovery_counters();
       std::printf("RECOVERY-COUNTERS p%d: checkpoint_bytes=%llu "
                   "generations=%llu rollbacks=%llu failovers=%llu "
                   "roles_retired=%llu declared_dead=%llu "
@@ -220,12 +169,12 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(rc.roles_retired),
                   static_cast<unsigned long long>(rc.declared_dead),
                   static_cast<unsigned long long>(rc.particles_recovered),
-                  md.membership().epoch());
+                  run.md().membership().epoch());
     }
-    const double per_step = (engine.makespan() - before) / steps;
-    const auto report = sim::machine_report(engine);
+    const double per_step = (run.engine().makespan() - before) / steps;
+    const auto report = obs::machine_report(run.engine());
     scaling.add_row(
-        {std::to_string(spec.pe_count), std::to_string(initial.size()),
+        {std::to_string(spec.pe_count), std::to_string(run.particles()),
          std::to_string(spec.total_cells()), Table::num(per_step, 4),
          Table::num(report.efficiency(), 3),
          Table::num(static_cast<double>(report.total_messages) /
@@ -264,4 +213,6 @@ int main(int argc, char** argv) {
   std::puts("\nsquare pillar keeps 8 neighbours with moderate halo volume — "
             "the mid-size sweet spot the paper builds DLB on.");
   return 0;
+} catch (const std::exception& e) {
+  return pcmd::run::exit_on_error(e);
 }

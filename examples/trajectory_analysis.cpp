@@ -9,6 +9,7 @@
 #include "md/rdf.hpp"
 #include "md/serial_md.hpp"
 #include "md/xyz.hpp"
+#include "run/run_spec.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "workload/cluster.hpp"
@@ -19,13 +20,14 @@
 #include <iostream>
 #include <sstream>
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace pcmd;
   const Cli cli(argc, argv);
   const auto steps = cli.get_int("steps", 400);
   const auto frames = std::max<std::int64_t>(1, cli.get_int("frames", 8));
   const std::string out = cli.get("out", "");
   const double density = cli.get_double("density", 0.384);
+  run::require_all_flags_consumed(cli, "trajectory_analysis");
 
   const Box box = Box::cubic(15.0);
   const auto n = static_cast<std::int64_t>(density * box.volume());
@@ -85,4 +87,6 @@ int main(int argc, char** argv) {
             "grow as the supercooled gas condenses — the load-concentration "
             "mechanism behind the paper's Figure 5.");
   return 0;
+} catch (const std::exception& e) {
+  return pcmd::run::exit_on_error(e);
 }

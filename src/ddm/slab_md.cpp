@@ -20,14 +20,6 @@ enum SlabTag : int {
   kSlabInitHalo = 105,
 };
 
-struct SlabInfo {
-  double busy = 0.0;
-  std::int32_t lo = 0;
-  std::int32_t hi = 0;
-  double low_layer_load = 0.0;   // load of the layer at `lo`
-  double high_layer_load = 0.0;  // load of the layer at `hi - 1`
-  double total_load = 0.0;
-};
 static_assert(std::is_trivially_copyable_v<SlabInfo>);
 
 sim::Buffer pack_info(const SlabInfo& info) {
@@ -197,7 +189,7 @@ void SlabMd::phase_a_drift_and_times(sim::Comm& comm) {
   rank.shifts_made = 0;
   rank.drift(comm, engine_->model(), integrator_, box_);
 
-  SlabInfo info;
+  SlabInfo& info = rank.info;
   info.busy = rank.last_busy;
   info.lo = rank.lo;
   info.hi = rank.hi;
@@ -219,13 +211,7 @@ void SlabMd::phase_b_shift_and_migrate(sim::Comm& comm) {
   const SlabInfo right_info = unpack_info(comm.recv(right(me), kSlabInfo));
   PCMD_HB_ACCESS(comm, "slab-info", right(me), /*is_write=*/false, "shift");
 
-  SlabInfo my_info;
-  my_info.busy = rank.last_busy;
-  my_info.lo = rank.lo;
-  my_info.hi = rank.hi;
-  my_info.low_layer_load = layer_load(rank, rank.lo);
-  my_info.high_layer_load = layer_load(rank, rank.hi - 1);
-  my_info.total_load = static_cast<double>(rank.owned.size());
+  const SlabInfo& my_info = rank.info;
 
   // Boundary ids: boundary r sits between rank r-1 and rank r; boundary 0
   // (the periodic wrap) is fixed. A boundary may shift when its parity

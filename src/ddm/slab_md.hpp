@@ -47,6 +47,17 @@ struct SlabMdConfig {
   bool shift_enabled = false;
 };
 
+// A rank's slab descriptor, exchanged with both ring neighbours every step
+// (its bytes are the kSlabInfo message payload).
+struct SlabInfo {
+  double busy = 0.0;
+  std::int32_t lo = 0;
+  std::int32_t hi = 0;
+  double low_layer_load = 0.0;   // load of the layer at `lo`
+  double high_layer_load = 0.0;  // load of the layer at `hi - 1`
+  double total_load = 0.0;
+};
+
 struct SlabStepStats {
   std::int64_t step = 0;
   double t_step = 0.0;
@@ -87,6 +98,8 @@ class SlabMd {
     int lo = 0;
     int hi = 0;
     int shifts_made = 0;
+    // Phase A's descriptor, which phase B's shift decision reads again.
+    SlabInfo info;
   };
 
   int left(int rank) const;   // ring neighbour at lower x

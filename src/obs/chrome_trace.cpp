@@ -3,8 +3,8 @@
 #include "obs/collector.hpp"
 
 #include <cstdio>
-#include <fstream>
 #include <ostream>
+#include <string>
 
 namespace pcmd::obs {
 
@@ -153,14 +153,6 @@ void write_chrome_trace(std::ostream& os, const TraceCollector& collector) {
     }
   }
   os << "\n]}\n";
-}
-
-bool write_chrome_trace_file(const std::string& path,
-                             const TraceCollector& collector) {
-  std::ofstream file(path);
-  if (!file) return false;
-  write_chrome_trace(file, collector);
-  return file.good();
 }
 
 }  // namespace pcmd::obs

@@ -14,17 +14,13 @@
 #pragma once
 
 #include <iosfwd>
-#include <string>
 
 namespace pcmd::obs {
 
 class TraceCollector;
 
+// obs::write_trace_files (obs/metrics.hpp) writes this next to a run's
+// metrics CSV.
 void write_chrome_trace(std::ostream& os, const TraceCollector& collector);
-
-// Returns false (with no file side effects beyond a possible empty file)
-// when the path cannot be opened.
-bool write_chrome_trace_file(const std::string& path,
-                             const TraceCollector& collector);
 
 }  // namespace pcmd::obs

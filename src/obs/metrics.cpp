@@ -1,64 +1,74 @@
 #include "obs/metrics.hpp"
 
+#include "obs/chrome_trace.hpp"
 #include "sim/comm.hpp"
-#include "sim/fault.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <ostream>
 
 namespace pcmd::obs {
 
-MetricsRecorder::MetricsRecorder(const sim::Engine& engine)
-    : engine_(&engine), last_(total()) {}
-
-MetricsRecorder::Snapshot MetricsRecorder::total() const {
-  Snapshot snapshot;
-  for (int r = 0; r < engine_->size(); ++r) {
-    const sim::RankCounters& c = engine_->counters(r);
-    snapshot.wait += c.comm_wait_seconds;
-    snapshot.collective += c.collective_seconds;
-    snapshot.messages += c.messages_sent;
-    snapshot.bytes += c.bytes_sent;
-    snapshot.recv_timeouts += c.recv_timeouts;
-  }
-  if (const sim::FaultInjector* injector = engine_->fault_injector()) {
-    const sim::FaultCounters fc = injector->counters();
-    snapshot.faults_dropped = fc.messages_dropped;
-    snapshot.faults_corrupted = fc.messages_corrupted;
-    snapshot.faults_delayed = fc.messages_delayed;
-  }
-  return snapshot;
+double MachineReport::efficiency() const {
+  if (ranks == 0 || makespan <= 0.0) return 0.0;
+  return total_compute / (ranks * makespan);
 }
 
-const StepMetrics& MetricsRecorder::record(const StepInput& input) {
-  const Snapshot now = total();
-  StepMetrics row;
-  row.step = input.step;
-  row.t_step = input.t_step;
-  row.force_max = input.force_max;
-  row.force_avg = input.force_avg;
-  row.force_min = input.force_min;
-  row.wait_seconds = now.wait - last_.wait;
-  row.collective_seconds = now.collective - last_.collective;
-  row.messages = now.messages - last_.messages;
-  row.bytes = now.bytes - last_.bytes;
-  row.transfers = input.transfers;
-  row.potential_energy = input.potential_energy;
-  row.kinetic_energy = input.kinetic_energy;
-  row.temperature = input.temperature;
-  row.retransmissions = input.retransmissions;
-  row.checkpoint_bytes = input.checkpoint_bytes;
-  row.rollbacks = input.rollbacks;
-  row.failovers = input.failovers;
-  row.particles_recovered = input.particles_recovered;
-  row.imbalance = input.imbalance;
-  row.cells_moved = input.cells_moved;
-  row.recv_timeouts = now.recv_timeouts - last_.recv_timeouts;
-  row.faults_dropped = now.faults_dropped - last_.faults_dropped;
-  row.faults_corrupted = now.faults_corrupted - last_.faults_corrupted;
-  row.faults_delayed = now.faults_delayed - last_.faults_delayed;
+MachineReport machine_report(const sim::Engine& engine) {
+  MachineReport report;
+  report.ranks = engine.size();
+  report.makespan = engine.makespan();
+  report.min_clock = report.makespan;
+  for (int r = 0; r < engine.size(); ++r) {
+    const sim::RankCounters& c = engine.counters(r);
+    report.min_clock = std::min(report.min_clock, engine.clock(r));
+    report.total_compute += c.compute_seconds;
+    report.total_wait += c.comm_wait_seconds;
+    report.total_collective += c.collective_seconds;
+    report.total_messages += c.messages_sent;
+    report.total_bytes += c.bytes_sent;
+    report.total_recv_timeouts += c.recv_timeouts;
+  }
+  return report;
+}
+
+std::ostream& operator<<(std::ostream& os, const MachineReport& report) {
+  os << "machine: ranks=" << report.ranks << " makespan=" << report.makespan
+     << "s compute=" << report.total_compute << "s wait=" << report.total_wait
+     << "s collectives=" << report.total_collective
+     << "s messages=" << report.total_messages
+     << " bytes=" << report.total_bytes
+     << " efficiency=" << report.efficiency();
+  return os;
+}
+
+namespace {
+sim::FaultCounters fault_counters(const sim::Engine& engine) {
+  const sim::FaultInjector* injector = engine.fault_injector();
+  return injector ? injector->counters() : sim::FaultCounters{};
+}
+}  // namespace
+
+MetricsRecorder::MetricsRecorder(const sim::Engine& engine)
+    : engine_(&engine),
+      last_(machine_report(engine)),
+      last_faults_(fault_counters(engine)) {}
+
+const StepMetrics& MetricsRecorder::record(StepMetrics row) {
+  const MachineReport now = machine_report(*engine_);
+  const sim::FaultCounters faults = fault_counters(*engine_);
+  row.wait_seconds = now.total_wait - last_.total_wait;
+  row.collective_seconds = now.total_collective - last_.total_collective;
+  row.messages = now.total_messages - last_.total_messages;
+  row.bytes = now.total_bytes - last_.total_bytes;
+  row.recv_timeouts = now.total_recv_timeouts - last_.total_recv_timeouts;
+  row.faults_dropped = faults.messages_dropped - last_faults_.messages_dropped;
+  row.faults_corrupted =
+      faults.messages_corrupted - last_faults_.messages_corrupted;
+  row.faults_delayed = faults.messages_delayed - last_faults_.messages_delayed;
   last_ = now;
+  last_faults_ = faults;
   rows_.push_back(row);
   return rows_.back();
 }
@@ -97,12 +107,22 @@ void write_csv(std::ostream& os, std::span<const StepMetrics> rows) {
   }
 }
 
-bool write_csv_file(const std::string& path,
-                    std::span<const StepMetrics> rows) {
-  std::ofstream file(path);
-  if (!file) return false;
-  write_csv(file, rows);
-  return file.good();
+bool write_trace_files(const std::string& base,
+                       const TraceCollector& collector,
+                       std::span<const StepMetrics> rows) {
+  bool ok = true;
+  const auto write = [&](const std::string& path, const auto& body) {
+    std::ofstream file(path);
+    if (file) body(file);
+    if (!file) {
+      std::fprintf(stderr, "trace: failed to write %s\n", path.c_str());
+      ok = false;
+    }
+  };
+  write(base + ".json",
+        [&](std::ostream& os) { write_chrome_trace(os, collector); });
+  write(base + ".csv", [&](std::ostream& os) { write_csv(os, rows); });
+  return ok;
 }
 
 }  // namespace pcmd::obs

@@ -21,7 +21,9 @@
 #include "sim/mailbox.hpp"
 #include "sim/message.hpp"
 #include "sim/topology.hpp"
-#include "sim/trace.hpp"
+
+// obs — per-step metrics rows, machine totals and trace files
+#include "obs/metrics.hpp"
 
 // md — Lennard-Jones molecular dynamics
 #include "md/cell_grid.hpp"

@@ -1,6 +1,7 @@
 #include "run/run_spec.hpp"
 
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
@@ -221,6 +222,11 @@ void require_all_flags_consumed(const Cli& cli, const std::string& program) {
       "--balancer POLICY, --dlb 0|1, --faults PLAN, --checkpoint-every N, "
       "--buddy-every N, --spares S, --degrade rank=K,at=T, "
       "--degrade-factor F, --trace PATH)");
+}
+
+int exit_on_error(const std::exception& error) {
+  std::fprintf(stderr, "%s\n", error.what());
+  return 2;
 }
 
 }  // namespace pcmd::run

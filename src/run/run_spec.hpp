@@ -8,8 +8,8 @@
 // policy, fault plan, trace sink, checkpoint cadence — with a chainable
 // builder for programmatic use, a strict shared CLI parser for the
 // harnesses, and one bridge to the engine config
-// (ddm::ParallelMdConfig). run::run_md_trajectory (run/trajectory.hpp)
-// runs a RunSpec end to end.
+// (ddm::ParallelMdConfig). run::MdRun (run/trajectory.hpp) is the one
+// place a RunSpec becomes a running engine.
 //
 // The parser is strict in the repo's house style: malformed values throw
 // std::invalid_argument naming the flag, the offending token and the
@@ -27,6 +27,7 @@
 #include "workload/paper_system.hpp"
 
 #include <cstdint>
+#include <exception>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -95,8 +96,8 @@ struct RunSpec {
   // (when one is set). This is what should reach the FaultInjector.
   sim::FaultPlan fault_plan() const;
 
-  // The engine config this spec describes. Trace collector and checkpoint
-  // cadence stay with the caller.
+  // The engine config this spec describes. run::MdRun adds the trace
+  // collector and keeps the checkpoint cadence.
   ddm::ParallelMdConfig parallel_config() const;
 };
 
@@ -130,5 +131,10 @@ std::int64_t get_int_in(const Cli& cli, const std::string& flag,
 // the shared grammar, so unknown flags are hard errors instead of silently
 // ignored typos.
 void require_all_flags_consumed(const Cli& cli, const std::string& program);
+
+// The catch clause of every harness's main: prints `error.what()` on stderr
+// and returns the exit status 2, so a bad flag, spec or fault plan ends the
+// run with its cause instead of std::terminate.
+int exit_on_error(const std::exception& error);
 
 }  // namespace pcmd::run

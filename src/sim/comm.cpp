@@ -172,7 +172,26 @@ void Engine::set_trace_sink(TraceSink* sink) {
   if (sink_) sink_->on_attach(ranks_);
 }
 
-void Engine::set_fault_injector(FaultInjector* faults) { faults_ = faults; }
+void Engine::set_fault_injector(FaultInjector* faults) {
+  if (faults) {
+    const FaultPlan& plan = faults->plan();
+    const auto check = [&](const char* kind, int rank) {
+      if (rank >= 0 && rank < ranks_) return;
+      throw std::invalid_argument(
+          std::string("fault plan: ") + kind + " names rank " +
+          std::to_string(rank) + ", but the engine's ranks are 0 to " +
+          std::to_string(ranks_ - 1));
+    };
+    for (const auto& stall : plan.stalls) check("stall", stall.rank);
+    for (const auto& crash : plan.crashes) check("crash", crash.rank);
+    for (const auto& sdc : plan.sdcs) check("sdc", sdc.rank);
+    for (const auto& link : plan.degraded_links) {
+      check("degraded link", link.rank_a);
+      if (link.rank_b != -1) check("degraded link", link.rank_b);
+    }
+  }
+  faults_ = faults;
+}
 
 int Engine::alive_count() const {
   int n = 0;

@@ -279,6 +279,9 @@ class Engine {
 
   // Attaches a fault injector (sim/fault.hpp) applying its FaultPlan to
   // every send/advance; nullptr detaches. Attach before the first phase.
+  // Throws std::invalid_argument naming the kind, the rank and the valid
+  // range when the plan's stall, crash, sdc or degraded-link ranks fall
+  // outside [0, size()); a degraded link's rank_b of -1 means every link.
   // The injector's lifetime is the caller's problem. Note the strict
   // ProtocolChecker assumes lossless delivery — do not attach both a
   // checker and a lossy fault plan.

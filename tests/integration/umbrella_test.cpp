@@ -31,7 +31,7 @@ TEST(Umbrella, WholeStackSmoke) {
             static_cast<std::int64_t>(initial.size()));
   EXPECT_GT(theory::upper_bound(spec.m, 1.5), 0.0);
   EXPECT_TRUE(md.check_ownership().ok);
-  EXPECT_GT(sim::machine_report(engine).makespan, 0.0);
+  EXPECT_GT(obs::machine_report(engine).makespan, 0.0);
 }
 
 }  // namespace

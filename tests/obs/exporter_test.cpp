@@ -1,6 +1,7 @@
 // Exporter tests: the Chrome trace-event JSON must parse, label every rank,
 // and keep per-rank timestamps monotone; the CSV must follow the fixed
-// schema exactly and round-trip doubles.
+// schema exactly and round-trip doubles. The counter sums behind the rows
+// are tested in metrics_test.cpp.
 #include "obs/chrome_trace.hpp"
 #include "obs/collector.hpp"
 #include "obs/metrics.hpp"
@@ -428,33 +429,6 @@ TEST(MetricsCsv, RowsRoundTripDoubles) {
   EXPECT_EQ(std::strtod(fields[11].c_str(), nullptr),
             rows[1].kinetic_energy);
   EXPECT_FALSE(std::getline(is, line));
-}
-
-TEST(MetricsRecorder, DeltasAgainstEngineCounters) {
-  sim::SeqEngine engine(2, sim::MachineModel::t3e());
-  MetricsRecorder recorder(engine);
-
-  engine.run_phase([](sim::Comm& comm) {
-    if (comm.rank() == 0) comm.send(1, 1, sim::Buffer(100));
-  });
-  engine.run_phase([](sim::Comm& comm) {
-    if (comm.rank() == 1) (void)comm.recv(0, 1);
-  });
-
-  MetricsRecorder::StepInput input;
-  input.step = 1;
-  const auto& row1 = recorder.record(input);
-  EXPECT_EQ(row1.messages, 1u);
-  EXPECT_EQ(row1.bytes, 100u);
-  EXPECT_GT(row1.wait_seconds, 0.0);
-
-  // No traffic since the last record: the next row's deltas are zero.
-  input.step = 2;
-  const auto& row2 = recorder.record(input);
-  EXPECT_EQ(row2.messages, 0u);
-  EXPECT_EQ(row2.bytes, 0u);
-  EXPECT_EQ(row2.wait_seconds, 0.0);
-  EXPECT_EQ(recorder.rows().size(), 2u);
 }
 
 }  // namespace

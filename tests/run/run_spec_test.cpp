@@ -2,13 +2,16 @@
 // to parse by hand must keep working through the shared parser, malformed
 // values must throw naming flag + token + grammar (the PR-4 house style),
 // and unknown flags must be hard errors via require_all_flags_consumed. The
-// last section runs specs end to end through run_md_trajectory.
+// last section runs specs end to end through the driver (run::MdRun and
+// run_md_trajectory).
 #include "run/run_spec.hpp"
 
 #include "run/trajectory.hpp"
+#include "support/temp_path.hpp"
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <initializer_list>
 #include <stdexcept>
 #include <string>
@@ -304,7 +307,7 @@ TEST(RunSpecParser, MalformedFaultPlanRejected) {
                   {"drop=lots"});
 }
 
-// ---- run_md_trajectory: a RunSpec end to end ---------------------------
+// ---- the driver: a RunSpec end to end -------------------------------------
 
 TEST(RunMdTrajectory, SmallSmoke) {
   const auto spec = RunSpec{}
@@ -344,6 +347,49 @@ TEST(RunMdTrajectory, SelfHealingRunsOnItsSpareRank) {
   EXPECT_EQ(result.t_step.size(), 6u);
   EXPECT_EQ(result.failovers_total, 1u);
   EXPECT_EQ(result.final_particles, result.particles);
+}
+
+TEST(MdRun, TraceWritesJsonAndOneCsvRowPerStep) {
+  const std::string base = pcmd::testing::temp_path("mdrun_trace");
+  const std::string json = pcmd::testing::temp_path("mdrun_trace.json");
+  const std::string csv = pcmd::testing::temp_path("mdrun_trace.csv");
+  const auto spec = RunSpec{}
+                        .with_pe_count(9)
+                        .with_m(2)
+                        .with_density(0.256)
+                        .with_seed(5)
+                        .with_trace(base);
+  {
+    MdRun run(spec);
+    for (int i = 0; i < 7; ++i) run.step();
+    // The files are written when the run ends, with every row in them.
+    EXPECT_FALSE(std::ifstream(csv).good());
+  }
+  std::ifstream trace(json);
+  ASSERT_TRUE(trace.good()) << json;
+  EXPECT_EQ(trace.get(), '{');
+
+  std::ifstream rows(csv);
+  ASSERT_TRUE(rows.good()) << csv;
+  std::string line;
+  ASSERT_TRUE(std::getline(rows, line));
+  EXPECT_EQ(line, obs::csv_header());
+  int count = 0;
+  while (std::getline(rows, line)) ++count;
+  EXPECT_EQ(count, 7);
+}
+
+TEST(MdRun, DegradeOfARankTheRunLacksIsATypedError) {
+  auto spec = RunSpec{}.with_pe_count(9).with_m(2).with_density(0.256);
+  spec.degrade = DegradeSpec::parse("rank=99,at=0.01");
+  try {
+    MdRun run(spec);
+    ADD_FAILURE() << "a stall of rank 99 on 9 ranks was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("stall names rank 99"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(RunMdTrajectory, DlbOverheadBoundedOnBalancedGas) {

@@ -1,7 +1,6 @@
 // Engine semantics tests, parameterised over both backends: every behaviour
 // must be identical for SeqEngine and ThreadEngine.
 #include "sim/comm.hpp"
-#include "sim/trace.hpp"
 
 #include <gtest/gtest.h>
 
@@ -331,16 +330,6 @@ TEST_P(EngineTest, CountersTrackTraffic) {
   EXPECT_EQ(engine->counters(0).bytes_sent, 100u);
   EXPECT_EQ(engine->counters(1).messages_received, 1u);
   EXPECT_EQ(engine->counters(1).bytes_received, 100u);
-}
-
-TEST_P(EngineTest, MachineReportAggregates) {
-  auto engine = make_engine(GetParam(), 2, MachineModel::ideal_network());
-  engine->run_phase([](Comm& comm) { comm.advance(2.0); });
-  const MachineReport report = machine_report(*engine);
-  EXPECT_EQ(report.ranks, 2);
-  EXPECT_DOUBLE_EQ(report.makespan, 2.0);
-  EXPECT_DOUBLE_EQ(report.total_compute, 4.0);
-  EXPECT_DOUBLE_EQ(report.efficiency(), 1.0);
 }
 
 TEST_P(EngineTest, ExceptionInBodyPropagates) {

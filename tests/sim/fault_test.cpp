@@ -174,6 +174,44 @@ TEST(Engine, CrashedRankStopsExecutingAtThePhaseBoundary) {
   EXPECT_EQ(engine.alive_count(), 2);
 }
 
+TEST(Engine, FaultPlanNamingARankOutsideTheEngineIsRejected) {
+  SeqEngine engine(10);  // e.g. 9 PEs plus one spare
+  const auto rejected = [&](const FaultPlan& plan, const std::string& kind,
+                            int rank) {
+    FaultInjector injector(plan);
+    try {
+      engine.set_fault_injector(&injector);
+      ADD_FAILURE() << kind << " of rank " << rank << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(kind + " names rank " + std::to_string(rank)),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("0 to 9"), std::string::npos) << what;
+    }
+    EXPECT_EQ(engine.fault_injector(), nullptr);
+  };
+  FaultPlan crash;
+  crash.crashes.push_back({99, 0.01});
+  rejected(crash, "crash", 99);
+  FaultPlan stall;
+  stall.stalls.push_back({-1, 0.0, 1e30, 6.0});
+  rejected(stall, "stall", -1);
+  FaultPlan sdc;
+  sdc.sdcs.push_back({10, 0.0, 1.0, 2.0});
+  rejected(sdc, "sdc", 10);
+  FaultPlan link;
+  link.degraded_links.push_back({3, 10, 8.0});
+  rejected(link, "degraded link", 10);
+
+  // The last rank (a spare) is a rank, and rank_b == -1 means every link
+  // of rank_a.
+  FaultInjector in_range(
+      FaultPlan::parse("crash=9@0.01,degrade=3--1x8,stall=0@0-1x2"));
+  EXPECT_NO_THROW(engine.set_fault_injector(&in_range));
+  engine.set_fault_injector(nullptr);
+}
+
 TEST(ReliableChannel, MasksDropsAndCorruptionOnALossyLink) {
   FaultInjector injector(FaultPlan::parse("seed=3,drop=0.2,corrupt=0.15"));
   SeqEngine engine(2);

@@ -247,6 +247,41 @@ TEST(Analyzer, DdmComputeChargeScopedToDdmOutsideTheRankCore) {
                   .empty());
 }
 
+TEST(Analyzer, HarnessStrictFlagsFlaggedWithoutTheCheck) {
+  const auto findings = analyze_one(load_fixture(
+      "harness_strict_flags.cpp", "bench/harness_strict_flags.cpp"));
+  ASSERT_EQ(findings.size(), 1u);  // the const Cli& parameter does not count
+  EXPECT_EQ(findings[0].rule, "harness-strict-flags");
+  EXPECT_EQ(findings[0].file, "bench/harness_strict_flags.cpp");
+  EXPECT_EQ(findings[0].line, 13);
+  EXPECT_TRUE(contains(findings[0].message, "require_all_flags_consumed"));
+}
+
+TEST(Analyzer, HarnessStrictFlagsScopedToHarnessesWithoutTheCheck) {
+  EXPECT_EQ(analyze_one(load_fixture("harness_strict_flags.cpp",
+                                     "examples/harness_strict_flags.cpp"))
+                .size(),
+            1u);
+  // Libraries and tests build Clis too; they are not harnesses.
+  EXPECT_TRUE(analyze_one(load_fixture("harness_strict_flags.cpp",
+                                       "src/run/harness_strict_flags.cpp"))
+                  .empty());
+  EXPECT_TRUE(analyze_one(load_fixture("harness_strict_flags.cpp",
+                                       "tests/run/harness_strict_flags.cpp"))
+                  .empty());
+  // Either check clears the harness.
+  for (const char* check :
+       {"pcmd::run::require_all_flags_consumed(cli, \"x\");",
+        "if (!cli.unqueried_flags().empty()) return 2;"}) {
+    const Source checked = {
+        "bench/checked.cpp",
+        std::string("int main(int argc, char** argv) {\n"
+                    "  const pcmd::Cli cli(argc, argv);\n  ") +
+            check + "\n  return 0;\n}\n"};
+    EXPECT_TRUE(analyze_one(checked).empty()) << check;
+  }
+}
+
 TEST(Analyzer, IncludeCycleReportedOnce) {
   const auto findings = pcmd::analyze::analyze(
       {load_fixture("cycle_a.hpp", "src/util/cycle_a.hpp"),

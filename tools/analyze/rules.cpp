@@ -318,6 +318,47 @@ void rule_ddm_compute_charge(const Unit& unit,
   }
 }
 
+// ---- harness strict flags -------------------------------------------------
+//
+// A harness (a binary under bench/ or examples/) that reads a command line
+// must reject every flag it did not read; otherwise a misspelt flag runs a
+// different experiment from the one asked for, and exits 0.
+
+void rule_harness_strict_flags(const Unit& unit,
+                               std::vector<Finding>& findings) {
+  const auto& path = unit.source->path;
+  if (!starts_with(path, "bench/") && !starts_with(path, "examples/")) {
+    return;
+  }
+  const auto& tokens = unit.tokens;
+  int constructed_at = 0;  // line of the first Cli construction
+  for (std::size_t i = 0; i + 1 < tokens.size(); ++i) {
+    const auto& token = tokens[i];
+    if (token.kind != Token::Kind::kIdentifier) continue;
+    if (token.text == "require_all_flags_consumed" ||
+        token.text == "unqueried_flags") {
+      return;
+    }
+    if (token.text != "Cli" || constructed_at != 0) continue;
+    // `Cli cli(...)`, `Cli cli{...}` or a temporary `Cli(...)`; a `const
+    // Cli&` parameter reads an existing one.
+    const auto opens = [&](std::size_t at) {
+      return at < tokens.size() && tokens[at].kind == Token::Kind::kPunct &&
+             (tokens[at].text == "(" || tokens[at].text == "{");
+    };
+    if (opens(i + 1) ||
+        (tokens[i + 1].kind == Token::Kind::kIdentifier && opens(i + 2))) {
+      constructed_at = token.line;
+    }
+  }
+  if (constructed_at == 0) return;
+  findings.push_back(
+      {"harness-strict-flags", path, constructed_at,
+       "Cli constructed in a harness that never calls "
+       "run::require_all_flags_consumed (or Cli::unqueried_flags), so an "
+       "unknown or misspelt flag is silently ignored"});
+}
+
 // ---- naked assert ---------------------------------------------------------
 //
 // assert vanishes under NDEBUG, aborts instead of reporting, and carries no
@@ -648,6 +689,7 @@ void run_rules(const std::vector<Source>& sources,
     rule_wall_clock(unit, findings);
     rule_serve_durable_writes(unit, findings);
     rule_ddm_compute_charge(unit, findings);
+    rule_harness_strict_flags(unit, findings);
     rule_naked_assert(unit, findings);
     rule_pointer_key(unit, findings);
     rule_hot_alloc(unit, findings);
